@@ -1,7 +1,8 @@
 // Substrate micro-benchmarks (google-benchmark): GEMM, attention-sized
-// batched matmul + softmax, Canny, quadtree construction, Morton encoding,
-// adaptive patch extraction. These are the kernels whose costs the
-// FrontierModel abstracts — measuring them grounds the model's constants.
+// batched matmul + softmax, the decoder's 3x3 convolutions, Canny,
+// quadtree construction, Morton encoding, adaptive patch extraction. These
+// are the kernels whose costs the FrontierModel abstracts — measuring them
+// grounds the model's constants.
 
 #include <benchmark/benchmark.h>
 
@@ -9,10 +10,12 @@
 #include "models/patcher.h"
 #include "data/synthetic.h"
 #include "img/filters.h"
+#include "nn/conv.h"
 #include "quadtree/morton.h"
 #include "quadtree/quadtree.h"
 #include "tensor/ops.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 
 namespace {
 
@@ -61,6 +64,32 @@ void BM_AttentionScores(benchmark::State& state) {
   state.SetLabel("L=" + std::to_string(l));
 }
 BENCHMARK(BM_AttentionScores)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_Conv2d(benchmark::State& state) {
+  // One UNETR decoder 3x3 conv (in_c -> 8 channels, pad 1) on a batch-1
+  // z x z map, grad-free as in serving, at a parallel width of `threads`
+  // (capped by the host's num_threads()). FLOP/s counts a multiply and an
+  // add for each of the 8 * in_c * 9 taps of every output pixel.
+  const std::int64_t in_c = state.range(0), z = state.range(1);
+  apf::ThreadLimitGuard width(static_cast<int>(state.range(2)));
+  apf::Rng rng(3);
+  apf::nn::Conv2d conv(in_c, 8, 3, 1, 1, rng);
+  const apf::Var x =
+      apf::Var::constant(apf::Tensor::randn({1, in_c, z, z}, rng));
+  apf::NoGradGuard no_grad;
+  for (auto _ : state) {
+    apf::Var y = conv.forward(x);
+    benchmark::DoNotOptimize(y.val().data());
+  }
+  state.counters["FLOP/s"] = benchmark::Counter(
+      2.0 * 8 * static_cast<double>(in_c * 9 * z * z),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_Conv2d)
+    ->ArgNames({"in_c", "z", "threads"})
+    ->ArgsProduct({{8, 16}, {128, 512}, {1, 4}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Canny(benchmark::State& state) {
   const std::int64_t z = state.range(0);

@@ -1,6 +1,8 @@
 #include "nn/conv.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "nn/init.h"
 #include "tensor/arena.h"
@@ -33,6 +35,10 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
   if (bias) bias_ = add_param("bias", Tensor::zeros({out_c_}));
 }
 
+std::int64_t conv_band_rows(std::int64_t ckk, std::int64_t out_w) {
+  return std::max<std::int64_t>(1, kGemmBlockK * kGemmBlockN / (ckk * out_w));
+}
+
 Var Conv2d::forward(const Var& x) const {
   const Tensor& xv = x.val();
   APF_CHECK(xv.ndim() == 4 && xv.size(1) == in_c_,
@@ -42,55 +48,54 @@ Var Conv2d::forward(const Var& x) const {
   const std::int64_t ow = (w + 2 * pad_ - k_) / stride_ + 1;
   APF_CHECK(oh > 0 && ow > 0, "Conv2d: output collapsed for input " << xv.str());
 
-  // One flat [B, C*K*K, OH*OW] column buffer (a single — arena-friendly —
-  // allocation): the fill parallelizes over (item, channel) row bands and
-  // the per-item gemms write straight into y, so the hot loop allocates
-  // nothing and copies nothing. Identical arithmetic to the former
-  // per-item im2col + matmul + copy composition.
+  // Row bands: each (item, band of output rows) task fills that band's
+  // [C*K*K, rows*OW] columns into per-thread scratch of about one gemm B
+  // block — so the gemm streams it from L2 — and multiplies it straight
+  // into y at ldc = OH*OW. Gemm row stability (gemm.h) makes any column
+  // split bitwise neutral: each output element still starts at zero and
+  // adds w[o][p] * col[p][j] over p in (channel, ki, kj) order, k-blocked
+  // as before, then its bias.
   const std::int64_t ckk = in_c_ * k_ * k_;
+  const std::int64_t plane = oh * ow;
+  const std::int64_t band = conv_band_rows(ckk, ow);
+  const std::int64_t bands = (oh + band - 1) / band;
+  // 1x1 stride-1 conv: the columns ARE the input planes, so gemm reads the
+  // band straight out of x (row stride H*W) and nothing is copied.
+  const bool identity = k_ == 1 && stride_ == 1 && pad_ == 0;
   Tensor y = Tensor::empty({b, out_c_, oh, ow});
-  if (k_ == 1 && stride_ == 1 && pad_ == 0) {
-    // 1x1 conv: im2col is the identity ([C, H*W] columns ARE the input
-    // plane), so gemm reads x directly. Identical arithmetic, zero copies.
-    const float* px = xv.data();
-    const float* pw = weight_.val().data();
-    float* py = y.data();
-    parallel_for(b, [&](std::int64_t i) {
-      gemm(false, false, out_c_, oh * ow, ckk, 1.f, pw, ckk,
-           px + i * in_c_ * h * w, oh * ow, 0.f, py + i * out_c_ * oh * ow,
-           oh * ow);
-    }, /*grain=*/1);
-  } else {
-    // y is allocated BEFORE this inner scope, so on the grad-free serving
-    // path the (large) column buffer is reclaimed the moment the conv
-    // returns instead of accumulating across the whole model forward.
-    ArenaScope cols_scope;
-    Tensor cols = Tensor::empty({b, ckk, oh * ow});
-    const float* px = xv.data();
-    float* pc = cols.data();
-    parallel_for(b * in_c_, [&](std::int64_t task) {
-      const std::int64_t i = task / in_c_, ch = task % in_c_;
-      ops::im2col_into(px + i * in_c_ * h * w, in_c_, h, w, k_, k_, stride_,
-                       pad_, pc + i * ckk * oh * ow, ch * k_ * k_,
-                       (ch + 1) * k_ * k_);
-    }, /*grain=*/1);
-    const float* pw = weight_.val().data();
-    float* py = y.data();
-    parallel_for(b, [&](std::int64_t i) {
-      gemm(false, false, out_c_, oh * ow, ckk, 1.f, pw, ckk,
-           pc + i * ckk * oh * ow, oh * ow, 0.f, py + i * out_c_ * oh * ow,
-           oh * ow);
-    }, /*grain=*/1);
-  }
-  if (bias_.defined()) {
-    float* py = y.data();
-    const float* pb = bias_.val().data();
-    parallel_for(b * out_c_, [&](std::int64_t i) {
-      const float bv = pb[i % out_c_];
-      float* row = py + i * oh * ow;
-      for (std::int64_t j = 0; j < oh * ow; ++j) row[j] += bv;
-    });
-  }
+  const float* px = xv.data();
+  const float* pw = weight_.val().data();
+  const float* pb = bias_.defined() ? bias_.val().data() : nullptr;
+  float* py = y.data();
+  parallel_for(b * bands, [&](std::int64_t task) {
+    const std::int64_t i = task / bands;
+    const std::int64_t oi0 = task % bands * band;
+    const std::int64_t oi1 = std::min(oh, oi0 + band);
+    const std::int64_t n = (oi1 - oi0) * ow;
+    const float* xi = px + i * in_c_ * h * w;
+    const float* cols = xi + oi0 * ow;
+    std::int64_t ldb = plane;
+    if (!identity) {
+      // Not a Tensor: on pool threads no ArenaScope is open, so a tensor
+      // here would be a heap allocation per band. Reused across calls,
+      // like the gemm pack buffers.
+      thread_local std::vector<float> scratch;
+      scratch.resize(static_cast<std::size_t>(ckk * band * ow));
+      ops::im2col_into(xi, in_c_, h, w, k_, k_, stride_, pad_,
+                       scratch.data(), n, oi0, oi1);
+      cols = scratch.data();
+      ldb = n;
+    }
+    float* yb = py + i * out_c_ * plane + oi0 * ow;
+    gemm(false, false, out_c_, n, ckk, 1.f, pw, ckk, cols, ldb, 0.f, yb,
+         plane);
+    if (pb != nullptr) {
+      for (std::int64_t o = 0; o < out_c_; ++o) {
+        float* row = yb + o * plane;
+        for (std::int64_t j = 0; j < n; ++j) row[j] += pb[o];
+      }
+    }
+  }, /*grain=*/1);
 
   auto xn = x.node();
   auto wn = weight_.node();
@@ -158,14 +163,16 @@ Var ConvTranspose2d::forward(const Var& x) const {
   const std::int64_t oh = (h - 1) * stride_ + k_;
   const std::int64_t ow = (w - 1) * stride_ + k_;
 
-  // y_i = col2im(W^T @ x_i): the exact adjoint of a stride-s conv. As in
-  // Conv2d, one flat column buffer + direct writes into y replace the
-  // per-item tensor/copy churn; x_i is read in place (it is already a
+  // y_i = col2im(W^T @ x_i): the exact adjoint of a stride-s conv. One
+  // flat [B, OC*K*K, H*W] column buffer + direct writes into y replace
+  // per-item tensors and copies; x_i is read in place (it is already a
   // contiguous [C, H*W] slab of the batch).
   const std::int64_t okk = out_c_ * k_ * k_;
   Tensor y = Tensor::empty({b, out_c_, oh, ow});
   {
-    // As in Conv2d: scratch columns die with this scope, y survives it.
+    // y is allocated BEFORE this inner scope, so on the grad-free serving
+    // path the column buffer is reclaimed the moment the layer returns
+    // instead of accumulating across the whole model forward.
     ArenaScope cols_scope;
     Tensor cols = Tensor::empty({b, okk, h * w});
     const float* px = xv.data();

@@ -1,7 +1,12 @@
 #pragma once
 // Convolutional layers (NCHW): Conv2d, ConvTranspose2d, MaxPool2d,
-// BatchNorm2d. Implemented as im2col + GEMM with fused autograd closures;
-// im2col is recomputed in backward instead of cached to bound memory.
+// BatchNorm2d. Implemented as im2col + GEMM with fused autograd closures.
+// Conv2d's forward never builds the whole-image column matrix: it fills
+// one band of output rows at a time (conv_band_rows: about one gemm B
+// block, so it stays in L2) into per-thread scratch and multiplies it
+// straight into the output, every (item, band) pair under one
+// parallel_for. Backward recomputes each item's whole-image im2col
+// instead of caching it, to bound memory.
 
 #include <cstdint>
 
@@ -9,6 +14,12 @@
 #include "core/rng.h"
 
 namespace apf::nn {
+
+/// Output rows per im2col band in Conv2d::forward, for ckk = in_channels *
+/// kernel^2 column rows and out_w output columns: as many rows as fit one
+/// gemm B block (kGemmBlockK x kGemmBlockN floats, tensor/gemm.h), at
+/// least one.
+std::int64_t conv_band_rows(std::int64_t ckk, std::int64_t out_w);
 
 /// Standard 2-D convolution with square kernel, zero padding.
 class Conv2d : public Module {

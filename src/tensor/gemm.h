@@ -65,6 +65,14 @@ namespace apf {
 /// panel contract above.
 inline constexpr std::int64_t kGemmRowPanel = 64;
 
+/// Depth (k) and width (n) of the op(B) block the in-tree CPU backends
+/// stream per micro-kernel pass. The k-block boundaries are part of every
+/// bitwise-exact backend's accumulation order (contract above). Public so
+/// callers that generate B on the fly (Conv2d's im2col bands) can size it
+/// to about one block, which stays in L2 while the kernel streams it.
+inline constexpr std::int64_t kGemmBlockK = 256;
+inline constexpr std::int64_t kGemmBlockN = 256;
+
 /// Row-major sgemm. A is (m x k) when trans_a is false, (k x m) otherwise;
 /// B is (k x n) / (n x k) likewise; C is always (m x n) with leading
 /// dimension ldc. Validates arguments, then dispatches to

@@ -17,11 +17,12 @@
 
 namespace apf::detail {
 
-// Cache-blocking parameters, sized for typical L1/L2 of x86 cores. The
-// row-panel height is public (gemm.h) because split-m callers depend on it.
+// Cache-blocking parameters, sized for typical L1/L2 of x86 cores. All
+// three are public (gemm.h): split-m callers depend on the row-panel
+// height, and Conv2d sizes its im2col bands to one B block.
 inline constexpr std::int64_t kGemmBlockM = kGemmRowPanel;
-inline constexpr std::int64_t kGemmBlockN = 256;
-inline constexpr std::int64_t kGemmBlockK = 256;
+using apf::kGemmBlockK;
+using apf::kGemmBlockN;
 
 // The helpers below are internal-linkage ON PURPOSE (anonymous namespace,
 // not `inline`): this header is included by translation units compiled for

@@ -434,21 +434,23 @@ void layernorm_row(const float* x, const float* gamma, const float* beta,
 void im2col_into(const float* x, std::int64_t c, std::int64_t h,
                  std::int64_t w, std::int64_t kh, std::int64_t kw,
                  std::int64_t stride, std::int64_t pad, float* out,
-                 std::int64_t row0, std::int64_t row1) {
+                 std::int64_t ldo, std::int64_t oi0, std::int64_t oi1) {
   const std::int64_t oh = (h + 2 * pad - kh) / stride + 1;
   const std::int64_t ow = (w + 2 * pad - kw) / stride + 1;
   APF_CHECK(oh > 0 && ow > 0, "im2col: kernel larger than padded input");
-  APF_CHECK(0 <= row0 && row0 <= row1 && row1 <= c * kh * kw,
-            "im2col_into: row range [" << row0 << ", " << row1
-                                       << ") out of bounds");
-  for (std::int64_t row = row0; row < row1; ++row) {
+  APF_CHECK(0 <= oi0 && oi0 <= oi1 && oi1 <= oh,
+            "im2col_into: output rows [" << oi0 << ", " << oi1
+                                         << ") out of bounds");
+  APF_CHECK(ldo >= (oi1 - oi0) * ow,
+            "im2col_into: row stride " << ldo << " below the band width");
+  for (std::int64_t row = 0; row < c * kh * kw; ++row) {
     const std::int64_t ch = row / (kh * kw);
     const std::int64_t ki = (row / kw) % kh;
     const std::int64_t kj = row % kw;
-    float* crow = out + row * oh * ow;
-    for (std::int64_t oi = 0; oi < oh; ++oi) {
+    float* crow = out + row * ldo;
+    for (std::int64_t oi = oi0; oi < oi1; ++oi) {
       const std::int64_t ii = oi * stride + ki - pad;
-      float* dst = crow + oi * ow;
+      float* dst = crow + (oi - oi0) * ow;
       if (ii < 0 || ii >= h) {
         std::fill(dst, dst + ow, 0.f);
         continue;
@@ -487,8 +489,11 @@ Tensor im2col(const Tensor& x, std::int64_t kh, std::int64_t kw,
   Tensor cols = Tensor::empty({c * kh * kw, oh * ow});
   const float* px = x.data();
   float* pc = cols.data();
-  parallel_for(c * kh * kw, [&](std::int64_t row) {
-    im2col_into(px, c, h, w, kh, kw, stride, pad, pc, row, row + 1);
+  // One band per output row: each task writes its own ow-wide column
+  // span of every row, so there are no races.
+  parallel_for(oh, [&](std::int64_t oi) {
+    im2col_into(px, c, h, w, kh, kw, stride, pad, pc + oi * ow, oh * ow, oi,
+                oi + 1);
   }, /*grain=*/1);
   return cols;
 }

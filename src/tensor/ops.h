@@ -108,24 +108,26 @@ void layernorm_row(const float* x, const float* gamma, const float* beta,
 /// kernel/stride/padding (zero padding).
 Tensor im2col(const Tensor& x, std::int64_t kh, std::int64_t kw,
               std::int64_t stride, std::int64_t pad);
-/// Raw-pointer im2col for rows [row0, row1) of the column matrix (a row is
-/// one (channel, ki, kj) triple; pass 0 / c*kh*kw for all). Writes into
-/// out, an [C*kh*kw, out_h*out_w] buffer laid out like im2col's result —
-/// which it produces bitwise (the stride-1 interior fast path is a pure
-/// reordering of the same copies). Lets the conv layers fill a
-/// preallocated buffer (no per-item tensor) and parallelize across items
-/// or channels without nested allocation.
+/// Raw-pointer im2col for the output rows [oi0, oi1) — a band of the
+/// column matrix. Writes every one of its C*kh*kw rows (one per
+/// (channel, ki, kj) triple), each (oi1 - oi0) * out_w columns long, row r
+/// at out + r * ldo. im2col fills its whole-image result one output row
+/// per task (ldo = out_h * out_w); Conv2d fills one band at a time into a
+/// cache-sized scratch buffer (ldo = the band's column count). A band's
+/// values equal the same columns of im2col's result bitwise (the stride-1
+/// interior fast path is a pure reordering of the same copies).
 void im2col_into(const float* x, std::int64_t c, std::int64_t h,
                  std::int64_t w, std::int64_t kh, std::int64_t kw,
                  std::int64_t stride, std::int64_t pad, float* out,
-                 std::int64_t row0, std::int64_t row1);
+                 std::int64_t ldo, std::int64_t oi0, std::int64_t oi1);
 /// col2im: reverse scatter-add of im2col, producing [C, H, W].
 Tensor col2im(const Tensor& cols, std::int64_t c, std::int64_t h,
               std::int64_t w, std::int64_t kh, std::int64_t kw,
               std::int64_t stride, std::int64_t pad);
 /// Raw-pointer col2im for channels [c0, c1) of the output: zeroes each
 /// channel plane of out ([C, H, W]) then scatter-adds its rows of cols,
-/// bitwise identical to col2im. Same motivation as im2col_into.
+/// bitwise identical to col2im. Lets ConvTranspose2d scatter straight into
+/// its output, parallel over (item, channel) without per-item tensors.
 void col2im_into(const float* cols, std::int64_t c, std::int64_t h,
                  std::int64_t w, std::int64_t kh, std::int64_t kw,
                  std::int64_t stride, std::int64_t pad, float* out,

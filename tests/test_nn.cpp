@@ -1,16 +1,19 @@
 // NN layer tests: shapes, gradients via gradcheck, module registration,
-// attention behaviour under masks, batch-norm statistics, and optimizer
-// convergence on analytic problems.
+// Conv2d's banded forward against a scalar loop, attention behaviour under
+// masks, batch-norm statistics, and optimizer convergence on analytic
+// problems.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "core/thread_pool.h"
 #include "gradcheck.h"
 #include "nn/attention.h"
 #include "nn/conv.h"
 #include "nn/layers.h"
 #include "nn/optim.h"
+#include "tensor/gemm_backend.h"
 #include "tensor/ops.h"
 
 namespace apf::nn {
@@ -204,6 +207,108 @@ TEST(Conv2d, GradCheck) {
         return ag::mean(ag::mul(y, y));
       },
       params);
+}
+
+// Scalar per-element Conv2d: each output starts at 0 and adds w * x over
+// (channel, ki, kj) in order, one separate multiply and add per step
+// (volatile keeps the pair from contracting into an FMA), with padding
+// read as 0; the bias is added last. That is the accumulation every
+// bitwise-exact gemm backend performs for any column split, so the banded
+// forward must reproduce it bit for bit. |w * x| summed into mag bounds
+// the rounding of the tolerance-grade backends.
+Tensor conv2d_scalar(const Tensor& x, const Tensor& wt, const Tensor* bias,
+                     std::int64_t k, std::int64_t stride, std::int64_t pad,
+                     Tensor* mag) {
+  const std::int64_t b = x.size(0), c = x.size(1), h = x.size(2),
+                     w = x.size(3), out_c = wt.size(0);
+  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
+  const std::int64_t ow = (w + 2 * pad - k) / stride + 1;
+  Tensor y({b, out_c, oh, ow});
+  *mag = Tensor({b, out_c, oh, ow});
+  for (std::int64_t i = 0; i < b; ++i)
+    for (std::int64_t o = 0; o < out_c; ++o)
+      for (std::int64_t oi = 0; oi < oh; ++oi)
+        for (std::int64_t oj = 0; oj < ow; ++oj) {
+          float acc = 0.f;
+          double m = 0.0;
+          for (std::int64_t ch = 0; ch < c; ++ch)
+            for (std::int64_t ki = 0; ki < k; ++ki)
+              for (std::int64_t kj = 0; kj < k; ++kj) {
+                const std::int64_t ii = oi * stride + ki - pad;
+                const std::int64_t jj = oj * stride + kj - pad;
+                const bool inside = ii >= 0 && ii < h && jj >= 0 && jj < w;
+                const float xv = inside ? x.at({i, ch, ii, jj}) : 0.f;
+                volatile float prod = wt.at({o, (ch * k + ki) * k + kj}) * xv;
+                acc += prod;
+                m += std::fabs(static_cast<double>(prod));
+              }
+          if (bias != nullptr) acc += (*bias)[o];
+          y.at({i, o, oi, oj}) = acc;
+          mag->at({i, o, oi, oj}) = static_cast<float>(m);
+        }
+  return y;
+}
+
+TEST(Conv2d, ForwardMatchesScalarLoopAcrossBandsAndThreads) {
+  struct Case {
+    std::int64_t in_c, out_c, k, stride, pad, h, w;
+    bool bias;
+  };
+  // Every shape crosses at least one split the banded forward makes: a
+  // ragged last band (OH % conv_band_rows != 0, checked below), OW % 8
+  // != 0 (the avx2 scalar column tail), C*K*K > kGemmBlockK (two gemm
+  // k-blocks), bands wider than kGemmBlockN, stride 2, pad 0 and 1, and
+  // the copy-free 1x1 path next to the 1x1 im2col paths.
+  const Case cases[] = {
+      {8, 8, 3, 1, 1, 67, 67, true},    // decoder 3x3; 871-column bands
+      {40, 3, 3, 1, 1, 21, 29, true},   // C*K*K = 360: k-block edge
+      {12, 4, 3, 2, 1, 150, 90, true},  // stride 2, pad 1
+      {6, 5, 3, 2, 0, 101, 77, false},  // stride 2, pad 0, no bias
+      {8, 3, 1, 1, 0, 300, 37, true},   // 1x1 identity: x read in place
+      {4, 3, 1, 2, 0, 41, 23, true},    // 1x1 stride 2
+      {3, 2, 1, 1, 1, 9, 10, true},     // 1x1 pad 1
+  };
+  struct RestoreThreads {
+    ~RestoreThreads() { set_num_threads(0); }
+  } restore;
+  const bool exact = active_gemm_backend().bitwise_exact();
+  Rng rng(20);
+  for (const Case& cs : cases) {
+    Conv2d conv(cs.in_c, cs.out_c, cs.k, cs.stride, cs.pad, rng, cs.bias);
+    if (cs.bias)
+      conv.parameters()[1].val_mut().copy_from(
+          Tensor::randn({cs.out_c}, rng));
+    const Tensor x = Tensor::randn({3, cs.in_c, cs.h, cs.w}, rng);
+    const std::int64_t oh = (cs.h + 2 * cs.pad - cs.k) / cs.stride + 1;
+    const std::int64_t ow = (cs.w + 2 * cs.pad - cs.k) / cs.stride + 1;
+    const std::int64_t ckk = cs.in_c * cs.k * cs.k;
+    const std::int64_t band = conv_band_rows(ckk, ow);
+    if (oh > band) {  // every multi-band shape ends on a partial band
+      ASSERT_NE(oh % band, 0) << "in_c=" << cs.in_c << " h=" << cs.h;
+    }
+    Tensor mag;
+    const Tensor want = conv2d_scalar(
+        x, conv.parameters()[0].val(),
+        cs.bias ? &conv.parameters()[1].val() : nullptr, cs.k, cs.stride,
+        cs.pad, &mag);
+    for (const int threads : {1, 2, 7}) {
+      set_num_threads(threads);
+      NoGradGuard ng;
+      const Tensor got = conv.forward(Var::constant(x)).val();
+      ASSERT_EQ(got.shape(), want.shape());
+      for (std::int64_t i = 0; i < want.numel(); ++i) {
+        if (exact) {
+          ASSERT_EQ(got[i], want[i])
+              << "in_c=" << cs.in_c << " k=" << cs.k << " stride="
+              << cs.stride << " pad=" << cs.pad << " threads=" << threads
+              << " at " << i;
+        } else {
+          ASSERT_NEAR(got[i], want[i], 1e-4f * (1.f + mag[i]))
+              << "in_c=" << cs.in_c << " threads=" << threads << " at " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(ConvTranspose2d, UpsamplesShape) {

@@ -1,12 +1,14 @@
 // Unit tests for the tensor substrate: storage semantics, shape handling,
 // elementwise kernels, GEMM against a naive reference, softmax, reductions,
-// and im2col/col2im geometry.
+// and im2col/col2im geometry (whole-image and row bands).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <vector>
 
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -371,6 +373,41 @@ TEST(Ops, Im2ColGeometry) {
   for (std::int64_t i = 0; i < 16; ++i) EXPECT_EQ(cols.at({4, i}), x[i]);
   // Top-left tap at output (0,0) reads padded zero.
   EXPECT_EQ(cols.at({0, 0}), 0.f);
+}
+
+TEST(Ops, Im2ColBandEqualsWholeImageRows) {
+  // A band of output rows [oi0, oi1), written at its own row stride, holds
+  // exactly those output rows' columns of the whole-image im2col (Conv2d's
+  // banded forward relies on it), and leaves the stride slack untouched.
+  Rng rng(12);
+  const Tensor x = Tensor::randn({3, 11, 13}, rng);
+  for (const std::int64_t stride : {1, 2}) {
+    for (const std::int64_t pad : {0, 1}) {
+      const Tensor whole = ops::im2col(x, 3, 3, stride, pad);
+      const std::int64_t oh = (11 + 2 * pad - 3) / stride + 1;
+      const std::int64_t ow = (13 + 2 * pad - 3) / stride + 1;
+      const std::int64_t ckk = whole.size(0);
+      for (std::int64_t oi0 = 0; oi0 < oh; ++oi0) {
+        for (const std::int64_t rows : {std::int64_t{1}, std::int64_t{3}, oh}) {
+          const std::int64_t oi1 = std::min(oh, oi0 + rows);
+          const std::int64_t n = (oi1 - oi0) * ow;
+          const std::int64_t ldo = n + 5;
+          std::vector<float> band(static_cast<std::size_t>(ckk * ldo), -7.f);
+          ops::im2col_into(x.data(), 3, 11, 13, 3, 3, stride, pad,
+                           band.data(), ldo, oi0, oi1);
+          for (std::int64_t r = 0; r < ckk; ++r) {
+            for (std::int64_t j = 0; j < n; ++j)
+              ASSERT_EQ(band[static_cast<std::size_t>(r * ldo + j)],
+                        whole.at({r, oi0 * ow + j}))
+                  << "stride=" << stride << " pad=" << pad << " rows ["
+                  << oi0 << ", " << oi1 << ") r=" << r << " j=" << j;
+            for (std::int64_t j = n; j < ldo; ++j)
+              ASSERT_EQ(band[static_cast<std::size_t>(r * ldo + j)], -7.f);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Ops, Col2ImAdjointOfIm2Col) {
