@@ -5,7 +5,8 @@ markers, compile_commands plumbing) and four analyzers built on it:
 
   determinism   bitwise-determinism contract (rng/wallclock/accumulate/
                 unordered source rules + fp-contract/fast-math/isa-gate
-                flag rules) — the original scripts/lint_determinism.py.
+                flag rules); run it alone with
+                scripts/apf_lint.py --analyzer determinism.
   layering      #include-edge layer DAG over src/, include-cycle and
                 header-guard checks.
   lock-order    static deadlock detection: lock-acquisition graph from

@@ -62,8 +62,7 @@ BACKEND_FACTORY_RE = re.compile(r"\bdetail::(\w+)_gemm_backend\s*\(")
 
 # Static fallback for roots where the registry TU cannot be read
 # (synthetic fixture roots in tests). Paths are /-separated and relative
-# to the repo root. Kept exported: the shim surface re-exports it and the
-# fixture tests pin that.
+# to the repo root.
 ISA_GATED_TUS = frozenset({
     "src/tensor/gemm_avx2.cpp",
     "src/tensor/gemm_fma.cpp",

@@ -269,7 +269,6 @@ std::optional<CachedResult> InferenceCache::get_result(
   out.logits = hit->logits.clone();
   out.mask = hit->mask;
   out.valid_tokens = hit->valid_tokens;
-  out.model_flops = hit->model_flops;
   return out;
 }
 
@@ -281,7 +280,6 @@ void InferenceCache::put_result(const core::Digest128& key,
   stored.logits = value.logits.clone();
   stored.mask = value.mask;
   stored.valid_tokens = value.valid_tokens;
-  stored.model_flops = value.model_flops;
   result_tier_->put(key, std::move(stored), result_entry_bytes(value));
 }
 

@@ -21,7 +21,7 @@
 //   backend_class       = "bitwise-exact" when the active gemm backend
 //                         certifies bitwise_exact() (reference and avx2
 //                         are mutually bitwise-identical, so they SHARE
-//                         entries), else the backend's name (fma/blas
+//                         entries), else the backend's name (fma/int8
 //                         are tolerance-grade and must not cross-hit).
 //
 // Bitwise contract: a hit returns output bitwise identical to the cold
@@ -94,13 +94,12 @@ struct CacheStats {
 
 /// One finished per-image inference, as stored by the result tier.
 /// logits is [1, C, Z, Z]; mask is the decoded pixel mask. valid_tokens
-/// and model_flops let a hit report the same accounting a cold run
-/// would have, without recomputing the quadtree.
+/// lets a hit report the token count a cold run would have, without
+/// recomputing the quadtree (a hit delivers no new compute, so no FLOPs).
 struct CachedResult {
   Tensor logits;
   img::Image mask;
   std::int64_t valid_tokens = 0;
-  double model_flops = 0.0;
 };
 
 /// Everything a cache key must pin about the serving configuration.

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <optional>
+#include <utility>
 
 #include "tensor/arena.h"
 #include "tensor/gemm_backend.h"
@@ -95,32 +97,46 @@ void InferenceEngine::validate_image(const img::Image& image,
   }
 }
 
-core::PatchSequence InferenceEngine::patch(const img::Image& image) const {
-  return patch(image, /*image_key=*/nullptr, /*cache_hit=*/nullptr);
+void InferenceStats::add_request(const InferenceStats& request) {
+  images += request.images;
+  tokens += request.tokens;
+  padded_tokens += request.padded_tokens;
+  queue_depth += request.queue_depth;
+  patch_cache_hits += request.patch_cache_hits;
+  patch_cache_misses += request.patch_cache_misses;
+  result_cache_hits += request.result_cache_hits;
+  result_cache_misses += request.result_cache_misses;
+  patch_seconds += request.patch_seconds;
+  queue_seconds += request.queue_seconds;
+  model_flops += request.model_flops;
+  gemm_backend = request.gemm_backend;
+  precision = request.precision;
 }
 
-core::PatchSequence InferenceEngine::patch(const img::Image& image,
-                                           const core::Digest128* image_key,
-                                           bool* cache_hit) const {
-  validate_image(image);
-  if (cache_hit) *cache_hit = false;
+void InferenceEngine::patch_into(const img::Image& image,
+                                 PatchedImage& item) const {
+  std::optional<core::Digest128> pkey;
   if (cache_ && cache_->patch_tier_enabled()) {
-    const core::Digest128 ikey =
-        image_key ? *image_key : cache_->image_key(image);
-    const core::Digest128 pkey =
-        core::combine(ikey, fingerprint_.patch, cache_->config().seed);
-    if (std::optional<core::PatchSequence> hit = cache_->get_patch(pkey)) {
-      if (cache_hit) *cache_hit = true;
-      return std::move(*hit);
+    if (!item.image_key) item.image_key = cache_->image_key(image);
+    pkey = core::combine(*item.image_key, fingerprint_.patch,
+                         cache_->config().seed);
+    if (std::optional<core::PatchSequence> hit = cache_->get_patch(*pkey)) {
+      item.seq = std::move(*hit);
+      item.patch_cache_hit = true;
+      return;
     }
-    core::PatchSequence seq =
-        patcher_.process_unpadded(image, /*rng=*/nullptr);
-    cache_->put_patch(pkey, seq);
-    return seq;
   }
   // nullptr rng forces the deterministic coarsest-first drop so serving
   // results are reproducible regardless of arrival order.
-  return patcher_.process_unpadded(image, /*rng=*/nullptr);
+  item.seq = patcher_.process_unpadded(image, /*rng=*/nullptr);
+  if (pkey) cache_->put_patch(*pkey, item.seq);
+}
+
+core::PatchSequence InferenceEngine::patch(const img::Image& image) const {
+  validate_image(image);
+  PatchedImage item;
+  patch_into(image, item);
+  return std::move(item.seq);
 }
 
 void InferenceEngine::set_cache(std::shared_ptr<InferenceCache> cache) {
@@ -139,12 +155,6 @@ void InferenceEngine::set_cache(std::shared_ptr<InferenceCache> cache,
   fingerprint_ = fp;
 }
 
-std::optional<core::Digest128> InferenceEngine::cache_image_key(
-    const img::Image& image) const {
-  if (!cache_) return std::nullopt;
-  return cache_->image_key(image);
-}
-
 core::Digest128 InferenceEngine::result_key(
     const core::Digest128& image_key) const {
   core::Hasher h(cache_->config().seed);
@@ -152,7 +162,7 @@ core::Digest128 InferenceEngine::result_key(
   h.update_digest(image_key);
   // Backend bitwise class: reference and avx2 certify bitwise_exact()
   // and are bitwise-identical to each other, so they share entries under
-  // one label; tolerance-grade backends (fma, blas) key by name so their
+  // one label; tolerance-grade backends (fma, int8) key by name so their
   // numerically different logits never serve a bitwise-exact request.
   const GemmBackend& backend = active_gemm_backend();
   if (backend.bitwise_exact()) {
@@ -164,18 +174,6 @@ core::Digest128 InferenceEngine::result_key(
   // int8 entries must never serve an fp32 request or vice versa.
   h.update_str(precision_name(precision_));
   return h.digest();
-}
-
-std::optional<CachedResult> InferenceEngine::cached_result(
-    const core::Digest128& image_key) const {
-  if (!cache_ || !cache_->result_tier_enabled()) return std::nullopt;
-  return cache_->get_result(result_key(image_key));
-}
-
-void InferenceEngine::store_result(const core::Digest128& image_key,
-                                   const CachedResult& value) const {
-  if (!cache_ || !cache_->result_tier_enabled()) return;
-  cache_->put_result(result_key(image_key), value);
 }
 
 core::TokenBatch InferenceEngine::prepare(
@@ -276,12 +274,99 @@ double InferenceEngine::flops_for_tokens(std::int64_t valid_tokens) const {
   return dist::vit_flops_per_image(spec);
 }
 
+std::optional<InferenceResult> InferenceEngine::admit(
+    const img::Image& image, PatchedImage& item) const {
+  const auto t0 = Clock::now();
+  validate_image(image);
+  if (cache_ && cache_->result_tier_enabled()) {
+    // Content-addressed result reuse. Safe bitwise because the forward
+    // computes each image from its own valid tokens only (padded-length
+    // independence), so a stored result carries the exact bits a
+    // recompute would produce, whatever batch either rode in.
+    const core::Digest128 key = cache_->image_key(image);
+    if (std::optional<CachedResult> hit = cache_->get_result(result_key(key))) {
+      InferenceResult out;
+      out.logits = std::move(hit->logits);  // deep-copied out by the cache
+      out.masks.push_back(std::move(hit->mask));
+      InferenceStats& s = out.stats;
+      s.images = 1;
+      s.tokens = hit->valid_tokens;  // no new compute: model_flops stays 0
+      s.result_cache_hits = 1;
+      s.gemm_backend = active_gemm_backend().name();
+      s.precision = precision_name(precision_);
+      s.total_seconds = seconds_since(t0);
+      return out;
+    }
+    item.image_key = key;
+  }
+  patch_into(image, item);
+  item.patch_seconds = seconds_since(t0);
+  return std::nullopt;
+}
+
+std::vector<InferenceResult> InferenceEngine::complete(
+    std::vector<PatchedImage> items, std::int64_t target_len) {
+  const auto t0 = Clock::now();
+  std::vector<core::PatchSequence> seqs;
+  seqs.reserve(items.size());
+  for (PatchedImage& item : items) seqs.push_back(std::move(item.seq));
+  const core::TokenBatch tb = prepare(seqs, target_len);
+  const Tensor logits = forward(tb);  // [n, C, Z, Z]
+  const double forward_seconds = seconds_since(t0);
+  std::vector<img::Image> masks = decode(logits);
+
+  const std::int64_t n = static_cast<std::int64_t>(items.size());
+  const std::int64_t per_image = logits.numel() / n;
+  const std::string backend = active_gemm_backend().name();
+  std::vector<InferenceResult> results(items.size());
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    const PatchedImage& item = items[u];
+    InferenceResult& out = results[u];
+    out.logits = Tensor({1, logits.size(1), logits.size(2), logits.size(3)});
+    std::copy(logits.data() + i * per_image,
+              logits.data() + (i + 1) * per_image, out.logits.data());
+    out.masks.push_back(std::move(masks[u]));
+
+    const std::int64_t valid = seqs[u].num_valid();
+    InferenceStats& s = out.stats;
+    s.images = 1;
+    s.batches = 1;
+    s.batch_size = n;
+    s.tokens = valid;
+    s.padded_tokens = tb.length() - valid;
+    s.patch_seconds = item.patch_seconds;
+    s.forward_seconds = forward_seconds;
+    s.gemm_backend = backend;
+    s.precision = precision_name(precision_);
+    // Delivered encoder compute: the serving path skips padding
+    // everywhere (fused attention + mask-aware dense layers), so each
+    // image costs its VALID token count, not the padded batch length.
+    s.model_flops = flops_for_tokens(valid);
+    if (cache_) {
+      // An item reaching complete() missed the result tier by definition;
+      // the patch-tier outcome rode in from admit().
+      s.patch_cache_hits = item.patch_cache_hit ? 1 : 0;
+      s.patch_cache_misses =
+          cache_->patch_tier_enabled() && !item.patch_cache_hit ? 1 : 0;
+      s.result_cache_misses = cache_->result_tier_enabled() ? 1 : 0;
+      if (item.image_key && cache_->result_tier_enabled()) {
+        // put_result deep-copies, so the caller keeps sole ownership.
+        CachedResult value;
+        value.logits = out.logits;
+        value.mask = out.masks[0];
+        value.valid_tokens = valid;
+        cache_->put_result(result_key(*item.image_key), value);
+      }
+    }
+    s.total_seconds = s.patch_seconds + seconds_since(t0);
+  }
+  return results;
+}
+
 InferenceResult InferenceEngine::run(const std::vector<img::Image>& images) {
   APF_CHECK(!images.empty(), "InferenceEngine::run: empty image batch");
   const auto t_start = Clock::now();
-  const std::int64_t n = static_cast<std::int64_t>(images.size());
-  InferenceResult out;
-  out.stats.images = n;
 
   // Validate geometry (with indices) and batch homogeneity up front.
   for (std::size_t i = 0; i < images.size(); ++i) {
@@ -296,122 +381,51 @@ InferenceResult InferenceEngine::run(const std::vector<img::Image>& images) {
                                              << images[0].c);
   }
 
-  // Stage 0: content-addressed result reuse. Safe bitwise because the
-  // forward computes each image from its own valid tokens only (padded-
-  // length independence), so a previously computed image carries the
-  // exact bits a recompute would produce, whatever batch either rode in.
-  std::vector<std::optional<core::Digest128>> keys(images.size());
-  std::vector<std::optional<CachedResult>> cached(images.size());
-  if (cache_) {
-    for (std::size_t i = 0; i < images.size(); ++i) {
-      keys[i] = cache_->image_key(images[i]);
-      if (!cache_->result_tier_enabled()) continue;
-      cached[i] = cached_result(*keys[i]);
-      if (cached[i]) {
-        out.stats.result_cache_hits += 1;
-        out.stats.tokens += cached[i]->valid_tokens;
-      } else {
-        out.stats.result_cache_misses += 1;
-      }
-    }
-  }
-
-  // Stage 1: patch the misses (patch-tier reuse inside patch()).
-  std::vector<core::PatchSequence> seqs;  // parallel to miss_idx
-  std::vector<std::int64_t> miss_idx;
-  std::int64_t max_len = 0;
+  // Admit every image: result-tier hits come back finished, misses patched.
+  std::vector<std::optional<InferenceResult>> done(images.size());
+  std::vector<PatchedImage> misses;
+  std::vector<std::size_t> miss_idx;  // parallel to misses
+  std::int64_t target = cfg_.patcher.seq_len;
   for (std::size_t i = 0; i < images.size(); ++i) {
-    if (cached[i]) continue;
-    bool patch_hit = false;
-    seqs.push_back(patch(images[i], keys[i] ? &*keys[i] : nullptr,
-                         &patch_hit));
-    if (cache_ && cache_->patch_tier_enabled()) {
-      (patch_hit ? out.stats.patch_cache_hits : out.stats.patch_cache_misses)
-          += 1;
-    }
-    miss_idx.push_back(static_cast<std::int64_t>(i));
-    max_len = std::max(max_len, seqs.back().length());
-    out.stats.tokens += seqs.back().num_valid();
-  }
-  // The serial baseline squares everything in first-come order: to the
-  // configured budget when seq_len > 0, else to the longest sequence.
-  // Misses only — the target never changes any image's bits (padded-
-  // length independence), only the padding accounting.
-  const std::int64_t target = std::max(cfg_.patcher.seq_len, max_len);
-  out.stats.padded_tokens = 0;
-  for (const core::PatchSequence& s : seqs)
-    out.stats.padded_tokens += target - s.num_valid();
-  out.stats.patch_seconds = seconds_since(t_start);
-
-  // Splice cached logits into their original slots.
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    if (!cached[i]) continue;
-    const Tensor& hit = cached[i]->logits;  // [1, C, Z, Z]
-    if (!out.logits.defined()) {
-      out.logits = Tensor({n, hit.size(1), hit.size(2), hit.size(3)});
-    }
-    std::copy(hit.data(), hit.data() + hit.numel(),
-              out.logits.data() + static_cast<std::int64_t>(i) * hit.numel());
+    PatchedImage item;
+    done[i] = admit(images[i], item);
+    if (done[i]) continue;
+    target = std::max(target, item.seq.length());
+    misses.push_back(std::move(item));
+    miss_idx.push_back(i);
   }
 
-  // Stage 2: chunked grad-free forward over the misses.
-  const auto t_fwd = Clock::now();
-  {
-    std::optional<EvalGuard> eval;
-    if (model_.training()) eval.emplace(model_);
-    const std::int64_t b = static_cast<std::int64_t>(seqs.size());
-    for (std::int64_t off = 0; off < b; off += cfg_.max_batch) {
-      const std::int64_t nb = std::min(cfg_.max_batch, b - off);
-      std::vector<core::PatchSequence> chunk(seqs.begin() + off,
-                                             seqs.begin() + off + nb);
-      core::TokenBatch tb = prepare(chunk, target);
-      Tensor logits = forward(tb);  // [nb, C, Z, Z]
-      if (!out.logits.defined()) {
-        out.logits =
-            Tensor({n, logits.size(1), logits.size(2), logits.size(3)});
-      }
-      const std::int64_t per_image = logits.numel() / nb;
-      for (std::int64_t j = 0; j < nb; ++j) {
-        std::copy(logits.data() + j * per_image,
-                  logits.data() + (j + 1) * per_image,
-                  out.logits.data() + miss_idx[off + j] * per_image);
-      }
-      out.stats.batches += 1;
-    }
-  }
-  out.stats.forward_seconds = seconds_since(t_fwd);
-  out.stats.gemm_backend = active_gemm_backend().name();
-  out.stats.precision = precision_name(precision_);
-
-  // Delivered encoder compute: the serving path skips padding everywhere
-  // (fused attention + mask-aware dense layers), so each image costs its
-  // VALID token count, not the padded batch length. Cache hits delivered
-  // no new compute and add nothing here.
-  for (const core::PatchSequence& s : seqs)
-    out.stats.model_flops += flops_for_tokens(s.num_valid());
-
-  // Stage 3: decode pixel-space masks (hit slots decode the cached
-  // logits to bitwise-identical masks — decode is deterministic).
-  out.masks = decode(out.logits);
-
-  // Populate the result tier with the freshly computed misses.
-  if (cache_ && cache_->result_tier_enabled()) {
-    for (std::size_t m = 0; m < seqs.size(); ++m) {
-      const std::int64_t i = miss_idx[m];
-      const std::int64_t per_image = out.logits.numel() / n;
-      CachedResult value;
-      value.logits = Tensor(
-          {1, out.logits.size(1), out.logits.size(2), out.logits.size(3)});
-      std::copy(out.logits.data() + i * per_image,
-                out.logits.data() + (i + 1) * per_image,
-                value.logits.data());
-      value.mask = out.masks[static_cast<std::size_t>(i)];
-      value.valid_tokens = seqs[m].num_valid();
-      value.model_flops = flops_for_tokens(seqs[m].num_valid());
-      store_result(*keys[static_cast<std::size_t>(i)], value);
-    }
+  // Complete the misses in max_batch chunks, every chunk squared to one
+  // target for the whole call: the configured budget when seq_len > 0,
+  // else the longest miss. The target never changes any image's bits
+  // (padded-length independence), only the padding accounting.
+  InferenceResult out;
+  const auto miss_count = static_cast<std::int64_t>(misses.size());
+  for (std::int64_t off = 0; off < miss_count; off += cfg_.max_batch) {
+    const std::int64_t end = std::min(miss_count, off + cfg_.max_batch);
+    std::vector<InferenceResult> chunk =
+        complete({std::make_move_iterator(misses.begin() + off),
+                  std::make_move_iterator(misses.begin() + end)},
+                 target);
+    out.stats.batches += 1;
+    out.stats.forward_seconds += chunk[0].stats.forward_seconds;
+    for (std::int64_t j = off; j < end; ++j)
+      done[miss_idx[static_cast<std::size_t>(j)]] =
+          std::move(chunk[static_cast<std::size_t>(j - off)]);
   }
 
+  // Stack the per-image results in input order.
+  const Tensor& first = done[0]->logits;  // [1, C, Z, Z]
+  const std::int64_t per_image = first.numel();
+  out.logits = Tensor({static_cast<std::int64_t>(images.size()),
+                       first.size(1), first.size(2), first.size(3)});
+  float* dst = out.logits.data();
+  for (std::optional<InferenceResult>& r : done) {
+    std::copy(r->logits.data(), r->logits.data() + per_image, dst);
+    dst += per_image;
+    out.masks.push_back(std::move(r->masks[0]));
+    out.stats.add_request(r->stats);
+  }
   out.stats.total_seconds = seconds_since(t_start);
   return out;
 }

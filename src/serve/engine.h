@@ -1,7 +1,7 @@
 #pragma once
 // Grad-free batched inference — the serving spine of the library.
 //
-// The engine is a pipeline of three explicit stages so a scheduler
+// The engine is a pipeline of explicit stages so a scheduler
 // (serve/server.h) can re-group work between them:
 //
 //   patch()    image -> PatchSequence   (edge map + quadtree + resample;
@@ -13,11 +13,19 @@
 //   forward()  TokenBatch -> logits     (eval + NoGrad fused forward)
 //   decode()   logits -> pixel masks    (sigmoid threshold / argmax)
 //
-// run() composes the stages for the single-caller case and is the serial
-// baseline the async serve::Server must match bitwise: the grad-free
-// forward computes each image from its own valid tokens only (fused masked
-// attention + mask-aware dense layers + per-item scatter), so an image's
-// logits do not depend on which batch it rode in or how far it was padded.
+// Every entry point goes through two per-request stages built on them:
+//
+//   admit()    validate -> content key -> result-tier lookup (a hit is
+//              returned finished) -> patch through the patch tier
+//   complete() prepare -> forward -> decode -> per-request stats and
+//              result-tier store, for a batch of admitted misses
+//
+// run() is the serial loop over them and serve::Server the async one
+// (submit() admits, workers complete), so the server matches run()
+// bitwise by construction: the grad-free forward computes each image from
+// its own valid tokens only (fused masked attention + mask-aware dense
+// layers + per-item scatter), so an image's logits do not depend on which
+// batch it rode in or how far it was padded.
 
 #include <cstdint>
 #include <map>
@@ -134,6 +142,11 @@ struct InferenceStats {
     return lookups > 0 ? static_cast<double>(result_cache_hits) / lookups
                        : 0.0;
   }
+  /// Folds one request's stats into this total: sums its per-request
+  /// counters and patch/queue seconds, takes its backend and precision.
+  /// Per-batch fields (batches, forward_seconds, batch_size_counts) and
+  /// the wall-clock total_seconds are the caller's.
+  void add_request(const InferenceStats& request);
 };
 
 /// Output of one run() / one server request: pixel-space logits and
@@ -146,15 +159,27 @@ struct InferenceResult {
   InferenceStats stats;
 };
 
+/// One admitted request that missed the result tier: its unpadded
+/// sequence plus what complete() needs to finish it.
+struct PatchedImage {
+  core::PatchSequence seq;
+  /// The image's content key, set when a cache is attached, so complete()
+  /// stores the result without hashing the pixels again.
+  std::optional<core::Digest128> image_key;
+  bool patch_cache_hit = false;  ///< patching hit the patch tier
+  double patch_seconds = 0.0;    ///< admit() time: validate + key + patch
+};
+
 /// Staged grad-free inference over a token segmentation model.
 ///
-/// Thread-safety: the const stage methods (validate_image, patch, decode,
-/// prepare) are stateless and safe to call from any number of threads.
-/// The non-const entry points (forward, run, predict_mask) own mutable
-/// engine state (rng, train/eval toggling) and must have one caller at a
-/// time — serve::Server gives each worker thread its own engine view over
-/// the shared model (which is only read during grad-free forwards), plus
-/// a dedicated engine for the client-side patch stage.
+/// Thread-safety: the const stage methods (validate_image, patch, admit,
+/// decode, prepare) are stateless apart from the internally synchronized
+/// cache and safe to call from any number of threads. The non-const
+/// entry points (forward, complete, run, predict_mask) own mutable engine
+/// state (rng, train/eval toggling) and must have one caller at a time —
+/// serve::Server gives each worker thread its own engine view over the
+/// shared model (which is only read during grad-free forwards), plus a
+/// dedicated engine for the client-side admit stage.
 class InferenceEngine {
  public:
   /// The engine borrows the model; the caller keeps it alive. Throws
@@ -168,16 +193,9 @@ class InferenceEngine {
   /// budget are dropped down to it, shorter ones keep their natural
   /// length, so a scheduler can bucket by true length and pad only to the
   /// bucket. Throws detail::CheckError when the image does not match the
-  /// model's expected square geometry (validate_image).
+  /// model's expected square geometry (validate_image). Consults the patch
+  /// tier when a cache is attached.
   core::PatchSequence patch(const img::Image& image) const;
-
-  /// As patch(), but cache-aware plumbing for serve::Server: reuses a
-  /// precomputed image content key (nullptr = compute it here when
-  /// needed) and reports whether the patch tier hit. Identical to
-  /// patch(image) when no cache is attached.
-  core::PatchSequence patch(const img::Image& image,
-                            const core::Digest128* image_key,
-                            bool* cache_hit) const;
 
   /// Pads every sequence (zero tokens, mask 0) to target_len and stacks
   /// them into one TokenBatch. target_len == 0 uses the longest sequence
@@ -199,13 +217,34 @@ class InferenceEngine {
   /// logit space for binary heads (C == 1), per-pixel argmax otherwise.
   std::vector<img::Image> decode(const Tensor& logits) const;
 
+  // ------------------------------------------------ per-request stages
+
+  /// Front half of one request: validates the image, computes its content
+  /// key and looks up the result tier (cache attached), then patches
+  /// through the patch tier. A result-tier hit returns the finished
+  /// result ([1, C, Z, Z] logits, one mask, hit stats; bitwise equal to a
+  /// cold one) and leaves `item` untouched; otherwise fills `item` and
+  /// returns nullopt. Throws detail::CheckError on bad geometry.
+  std::optional<InferenceResult> admit(const img::Image& image,
+                                       PatchedImage& item) const;
+
+  /// Back half of a batch of admitted requests: prepare (padded to
+  /// target_len; 0 = the longest item) -> forward -> decode. Returns one
+  /// result per item, in order, with [1, C, Z, Z] logits, one mask and
+  /// per-request stats (images = batches = 1, batch_size = the item
+  /// count, forward_seconds = the batch's forward time), and stores each
+  /// in the result tier when it is on.
+  std::vector<InferenceResult> complete(std::vector<PatchedImage> items,
+                                        std::int64_t target_len = 0);
+
   // ---------------------------------------------------- composed serial
 
-  /// Full pipeline for a batch of images: patch -> pad to a common length
-  /// (the configured seq_len, or the longest sequence when seq_len == 0)
-  /// -> forward in max_batch chunks -> decode. Deterministic: repeated
-  /// calls on the same inputs are bitwise identical, and equal to the
-  /// taped forward's values.
+  /// Full pipeline for a batch of images: admit every image, then
+  /// complete the misses in max_batch chunks, each padded to one length
+  /// for the whole call (the configured seq_len, or the longest miss when
+  /// that is longer), and stack the results in input order. Deterministic:
+  /// repeated calls on the same inputs are bitwise identical, and equal to
+  /// the taped forward's values.
   InferenceResult run(const std::vector<img::Image>& images);
 
   /// Single-image convenience wrapper around run().
@@ -222,7 +261,6 @@ class InferenceEngine {
   double flops_for_tokens(std::int64_t valid_tokens) const;
 
   const EngineConfig& config() const { return cfg_; }
-  models::TokenSegModel& model() const { return model_; }
 
   /// The resolved forward precision: the config's request (or the
   /// APF_PRECISION environment) after the availability downgrade.
@@ -234,31 +272,21 @@ class InferenceEngine {
   /// detaches. The single-argument form computes the engine fingerprint
   /// here (hashing every model parameter); the two-argument form takes a
   /// precomputed one so serve::Server can share a single computation
-  /// across its per-worker engines. With a cache attached, patch()
-  /// consults the patch tier and run() consults the result tier; all
-  /// outputs stay bitwise identical to the cold path.
+  /// across its per-worker engines. With a cache attached, admit() and
+  /// patch() consult it and complete() fills it; all outputs stay bitwise
+  /// identical to the cold path.
   void set_cache(std::shared_ptr<InferenceCache> cache);
   void set_cache(std::shared_ptr<InferenceCache> cache,
                  const EngineFingerprint& fp);
   const std::shared_ptr<InferenceCache>& cache() const { return cache_; }
 
-  /// Content key of one image under the attached cache's seed; nullopt
-  /// when no cache is attached. Computed once per request and threaded
-  /// through patch() / the result-tier helpers so each image is hashed
-  /// exactly once.
-  std::optional<core::Digest128> cache_image_key(
-      const img::Image& image) const;
-
-  /// Result-tier lookup / insert for one image; no-ops when the cache or
-  /// tier is off. The key mixes the engine fingerprint, the image key and
-  /// the active gemm backend's bitwise class (tensor/gemm_backend.h), so
-  /// tolerance-grade backends never cross-hit bitwise-exact entries.
-  std::optional<CachedResult> cached_result(
-      const core::Digest128& image_key) const;
-  void store_result(const core::Digest128& image_key,
-                    const CachedResult& value) const;
-
  private:
+  /// Patches a validated image through the patch tier when it is on,
+  /// computing item.image_key first if it is unset.
+  void patch_into(const img::Image& image, PatchedImage& item) const;
+
+  /// Result-tier key: engine fingerprint, image key, gemm backend class
+  /// and precision.
   core::Digest128 result_key(const core::Digest128& image_key) const;
 
   models::TokenSegModel& model_;

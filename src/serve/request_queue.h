@@ -2,7 +2,7 @@
 // Thread-safe request queue with length-bucketed dynamic batching — the
 // scheduler half of serve::Server.
 //
-// Requests arrive already patched (stage 1 runs on the submitting thread)
+// Requests arrive already patched (admit() runs on the submitting thread)
 // so the queue can group them by sequence length: each request lands in
 // the bucket of its length rounded UP to a multiple of the configured
 // granularity, and pop_batch() hands a worker up to max_batch requests
@@ -47,23 +47,15 @@
 
 namespace apf::serve {
 
-/// One queued inference request: a patched (unpadded) sequence plus the
-/// promise a worker fulfills with the per-request InferenceResult.
-struct Request {
+/// One queued inference request: an admitted image (engine.h) plus the
+/// promise a worker fulfills with its per-request InferenceResult.
+struct Request : PatchedImage {
   std::uint64_t id = 0;  ///< submission order, unique per server
-  core::PatchSequence seq;
   std::promise<InferenceResult> promise;
   std::chrono::steady_clock::time_point enqueued{};
-  double patch_seconds = 0.0;  ///< stage-1 time spent on the client thread
   /// Requests already pending when this one was admitted (observability:
   /// surfaces as InferenceStats::queue_depth).
   std::int64_t queue_depth = 0;
-  /// Content-cache plumbing (serve/cache.h), set at submit() when the
-  /// server has a cache attached: the image's content key (so the worker
-  /// can populate the result tier without re-hashing the pixels) and
-  /// whether stage-1 patching hit the patch tier (per-request stats).
-  std::optional<core::Digest128> image_key;
-  bool patch_cache_hit = false;
 };
 
 /// Bounded multi-producer / multi-consumer queue of Requests, bucketed by

@@ -1,11 +1,10 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <utility>
 
-#include "tensor/gemm_backend.h"
 #include "core/thread_pool.h"
 
 namespace apf::serve {
@@ -51,7 +50,7 @@ Server::Server(models::TokenSegModel& model, ServerConfig cfg)
   engines_.reserve(static_cast<std::size_t>(cfg_.num_workers));
   for (int i = 0; i < cfg_.num_workers; ++i)
     engines_.push_back(std::make_unique<InferenceEngine>(model_, cfg_.engine));
-  patch_engine_ = std::make_unique<InferenceEngine>(model_, cfg_.engine);
+  admit_engine_ = std::make_unique<InferenceEngine>(model_, cfg_.engine);
 
   if (cfg_.cache.enabled()) {
     cache_ = std::make_shared<InferenceCache>(cfg_.cache);
@@ -61,7 +60,7 @@ Server::Server(models::TokenSegModel& model, ServerConfig cfg)
         model_, cfg_.engine.patcher, cfg_.engine.mask_threshold,
         cfg_.cache.seed);
     for (const auto& engine : engines_) engine->set_cache(cache_, fp);
-    patch_engine_->set_cache(cache_, fp);
+    admit_engine_->set_cache(cache_, fp);
   }
 
   // Park the shared model in eval mode for the server's lifetime: workers
@@ -92,49 +91,24 @@ void Server::shutdown() {
 }
 
 std::future<InferenceResult> Server::submit(const img::Image& image) {
-  // Stage 1 on the calling thread: patch() validates at the API boundary
-  // (failing fast with the offending shape), and patching in parallel
-  // across clients keeps the workers fed with bucketable sequences.
-  const auto t0 = Clock::now();
-  std::optional<core::Digest128> image_key;
-  if (cache_) {
-    patch_engine_->validate_image(image);
-    image_key = patch_engine_->cache_image_key(image);
-    if (std::optional<CachedResult> hit =
-            patch_engine_->cached_result(*image_key)) {
-      // Exact duplicate: serve it right here — no queue, no worker, no
-      // forward. The cache handed out a deep copy, so the client owns its
-      // logits; the bits are identical to a cold request by the result-
-      // tier contract. Shutdown still rejects new work on this path.
-      APF_CHECK(!queue_.closed(), "Server::submit: server is shut down");
-      InferenceResult out;
-      out.logits = hit->logits;
-      out.masks.push_back(std::move(hit->mask));
-      InferenceStats& s = out.stats;
-      s.images = 1;
-      s.tokens = hit->valid_tokens;
-      s.result_cache_hits = 1;
-      s.gemm_backend = active_gemm_backend().name();
-      s.precision = precision_name(patch_engine_->precision());
-      s.total_seconds = seconds_since(t0);
-      // Fold into the aggregate BEFORE the future resolves (same ordering
-      // contract as process_batch). Cache counters live in the cache.
-      {
-        MutexLock lock(stats_mu_);
-        aggregate_.images += 1;
-        aggregate_.tokens += hit->valid_tokens;
-      }
-      std::promise<InferenceResult> promise;
-      std::future<InferenceResult> future = promise.get_future();
-      promise.set_value(std::move(out));
-      return future;
-    }
-  }
+  // Admit on the calling thread: validation fails fast at the API boundary,
+  // and patching in parallel across clients keeps the workers fed.
   Request r;
-  r.image_key = image_key;
-  r.seq = patch_engine_->patch(
-      image, image_key ? &*image_key : nullptr, &r.patch_cache_hit);
-  r.patch_seconds = seconds_since(t0);
+  if (std::optional<InferenceResult> hit = admit_engine_->admit(image, r)) {
+    // Exact duplicate: serve it right here — no queue, no worker, no
+    // forward. Shutdown still rejects new work on this path, and the
+    // aggregate is folded BEFORE the future resolves (same ordering
+    // contract as process_batch).
+    APF_CHECK(!queue_.closed(), "Server::submit: server is shut down");
+    {
+      MutexLock lock(stats_mu_);
+      aggregate_.add_request(hit->stats);
+    }
+    std::promise<InferenceResult> promise;
+    std::future<InferenceResult> future = promise.get_future();
+    promise.set_value(std::move(*hit));
+    return future;
+  }
   r.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   r.queue_depth = queue_.pending();  // depth at admission (observability)
   r.enqueued = Clock::now();
@@ -150,7 +124,7 @@ std::vector<std::future<InferenceResult>> Server::submit_many(
   // Validate everything up front so a bad image rejects the whole call
   // before ANY request is enqueued (no partial batches on error).
   for (std::size_t i = 0; i < images.size(); ++i)
-    patch_engine_->validate_image(images[i], static_cast<std::int64_t>(i));
+    admit_engine_->validate_image(images[i], static_cast<std::int64_t>(i));
   std::vector<std::future<InferenceResult>> futures;
   futures.reserve(images.size());
   for (const img::Image& im : images) futures.push_back(submit(im));
@@ -206,104 +180,32 @@ void Server::worker_main(std::size_t worker_index) {
 void Server::process_batch(InferenceEngine& engine,
                            std::vector<Request>&& batch) {
   const auto t0 = Clock::now();
-  const std::int64_t n = static_cast<std::int64_t>(batch.size());
   try {
-    std::vector<core::PatchSequence> seqs;
-    seqs.reserve(batch.size());
-    for (Request& r : batch) seqs.push_back(std::move(r.seq));
-
+    std::vector<PatchedImage> items;
+    items.reserve(batch.size());
+    for (Request& r : batch) items.push_back(std::move(r));  // its admit half
     // Pad only to this batch's own longest member — the bucket guarantees
     // peers are within one granularity step, so padding stays small.
-    core::TokenBatch tb = InferenceEngine::prepare(seqs);
-    Tensor logits = engine.forward(tb);  // [n, C, Z, Z]
-    const double forward_seconds = seconds_since(t0);
-    std::vector<img::Image> masks = engine.decode(logits);
-
-    const std::int64_t per_image = logits.numel() / n;
-    const std::string backend = active_gemm_backend().name();
-    const std::string precision = precision_name(engine.precision());
-    InferenceStats delta;  // accumulated into the aggregate below
-    delta.images = n;
-    delta.batches = 1;
-    delta.forward_seconds = forward_seconds;
-
-    std::vector<InferenceResult> results(batch.size());
-    for (std::int64_t i = 0; i < n; ++i) {
-      const Request& r = batch[static_cast<std::size_t>(i)];
-      InferenceResult& out = results[static_cast<std::size_t>(i)];
-      out.logits =
-          Tensor({1, logits.size(1), logits.size(2), logits.size(3)});
-      std::copy(logits.data() + i * per_image,
-                logits.data() + (i + 1) * per_image, out.logits.data());
-      out.masks.push_back(std::move(masks[static_cast<std::size_t>(i)]));
-
-      const std::int64_t valid =
-          seqs[static_cast<std::size_t>(i)].num_valid();
-      InferenceStats& s = out.stats;
-      s.images = 1;
-      s.batches = 1;
-      s.batch_size = n;
-      s.tokens = valid;
-      s.padded_tokens = tb.length() - valid;
-      s.patch_seconds = r.patch_seconds;
-      s.queue_depth = r.queue_depth;
+    std::vector<InferenceResult> results = engine.complete(std::move(items));
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      InferenceStats& s = results[i].stats;
+      s.queue_depth = batch[i].queue_depth;
       s.queue_seconds =
-          std::chrono::duration<double>(t0 - r.enqueued).count();
-      s.forward_seconds = forward_seconds;
-      s.total_seconds = s.patch_seconds + s.queue_seconds +
-                        seconds_since(t0);
-      s.gemm_backend = backend;
-      s.precision = precision;
-      s.model_flops = engine.flops_for_tokens(valid);
-      if (cache_) {
-        // Per-request cache accounting: a request reaching a worker
-        // missed the result tier by definition; the patch-tier outcome
-        // rode in on the Request. (Aggregate counters come from the
-        // shared cache itself — see snapshot().)
-        s.patch_cache_hits = r.patch_cache_hit ? 1 : 0;
-        s.patch_cache_misses =
-            cache_->patch_tier_enabled() && !r.patch_cache_hit ? 1 : 0;
-        s.result_cache_misses = cache_->result_tier_enabled() ? 1 : 0;
-      }
-      if (r.image_key) {
-        // Populate the result tier so the next identical submission is
-        // served from submit() directly (put_result deep-copies).
-        CachedResult value;
-        value.logits = out.logits;
-        value.mask = out.masks[0];
-        value.valid_tokens = valid;
-        value.model_flops = s.model_flops;
-        engine.store_result(*r.image_key, value);
-      }
-
-      delta.tokens += s.tokens;
-      delta.padded_tokens += s.padded_tokens;
-      delta.patch_seconds += s.patch_seconds;
-      delta.queue_seconds += s.queue_seconds;
-      delta.queue_depth += s.queue_depth;
-      delta.model_flops += s.model_flops;
+          std::chrono::duration<double>(t0 - batch[i].enqueued).count();
+      s.total_seconds += s.queue_seconds;
     }
-
     // Fold into the aggregate BEFORE fulfilling the promises, so a client
     // that has seen all its futures resolve also sees them in stats().
+    // (Cache counters come from the shared cache itself — see snapshot().)
     {
       MutexLock lock(stats_mu_);
-      aggregate_.images += delta.images;
-      aggregate_.batches += delta.batches;
-      aggregate_.tokens += delta.tokens;
-      aggregate_.padded_tokens += delta.padded_tokens;
-      aggregate_.patch_seconds += delta.patch_seconds;
-      aggregate_.queue_seconds += delta.queue_seconds;
-      aggregate_.forward_seconds += delta.forward_seconds;
-      aggregate_.queue_depth += delta.queue_depth;
-      aggregate_.model_flops += delta.model_flops;
-      aggregate_.gemm_backend = backend;
-      aggregate_.precision = precision;
-      ++aggregate_.batch_size_counts[n];  // effective batch distribution
+      for (const InferenceResult& r : results) aggregate_.add_request(r.stats);
+      aggregate_.batches += 1;
+      aggregate_.forward_seconds += results[0].stats.forward_seconds;
+      ++aggregate_.batch_size_counts[results[0].stats.batch_size];
     }
-    for (std::int64_t i = 0; i < n; ++i)
-      batch[static_cast<std::size_t>(i)].promise.set_value(
-          std::move(results[static_cast<std::size_t>(i)]));
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      batch[i].promise.set_value(std::move(results[i]));
   } catch (...) {
     // A failed batch fails its own requests; the worker and every other
     // request keep going. Requests already fulfilled before the failure

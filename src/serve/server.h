@@ -3,14 +3,18 @@
 // batching + worker threads over one shared model.
 //
 //                      ┌──────────────────────── Server ───────────────────────┐
-//   client thread ──►  │ submit(): validate -> patch() -> RequestQueue         │
-//   client thread ──►  │               (stage 1)      │  length buckets        │
-//                      │                              ▼                        │
-//                      │   worker: pop_batch -> prepare -> forward -> decode   │
-//                      │              (scheduler)      (stage 2)   (stage 3)   │
+//   client thread ──►  │ submit(): admit() ──────────► RequestQueue            │
+//   client thread ──►  │             │ result-tier hit  │  length buckets      │
+//                      │             ▼ (resolved here)  ▼                      │
+//                      │           worker: pop_batch -> complete()             │
+//                      │                  (scheduler)   (prepare -> forward    │
+//                      │                                 -> decode -> store)   │
 //                      └──────────────┬────────────────────────────────────────┘
 //                                     ▼
 //                      std::future<InferenceResult> per request
+//
+// admit() and complete() are the engine stages run() drives too; the
+// server adds only the queue, queue timing and the aggregate stats.
 //
 // Each worker owns an InferenceEngine view over the shared model; the
 // model is parked in eval mode for the server's lifetime so the grad-free
@@ -73,10 +77,10 @@ struct ServerConfig {
   double adaptive_min_deadline_ms = 0.0;
   /// Content-addressed cache (serve/cache.h): capacity_bytes > 0 turns it
   /// on, and one shared InferenceCache then backs every worker engine and
-  /// the client-side patch stage. Exact duplicate submissions are served
+  /// the client-side admit stage. Exact duplicate submissions are served
   /// straight from submit() (no queue, no forward) with outputs bitwise
   /// identical to a cold request; repeated pixels with a cold result tier
-  /// still skip stage-1 patching via the patch tier. Off by default.
+  /// still skip patching via the patch tier. Off by default.
   CacheConfig cache;
 };
 
@@ -95,12 +99,12 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Validates the image (square, model geometry — throws
-  /// detail::CheckError naming the shape), patches it on the calling
-  /// thread, and enqueues it. Blocks while the queue is full; throws
-  /// after shutdown(). The future carries the per-request logits
-  /// [1, C, Z, Z], mask, and InferenceStats (queue wait, dynamic batch
-  /// size, padding).
+  /// Admits the image on the calling thread (validates square, model
+  /// geometry — throws detail::CheckError naming the shape — then patches
+  /// it) and enqueues it; a result-tier hit resolves at once instead.
+  /// Blocks while the queue is full; throws after shutdown(). The future
+  /// carries the per-request logits [1, C, Z, Z], mask, and
+  /// InferenceStats (queue wait, dynamic batch size, padding).
   std::future<InferenceResult> submit(const img::Image& image);
 
   /// Validates ALL images first (CheckError names the offending index),
@@ -151,10 +155,9 @@ class Server {
   ServerConfig cfg_;
   RequestQueue queue_;
   std::vector<std::unique_ptr<InferenceEngine>> engines_;  // one per worker
-  /// Client-side stage-1 engine: only its const, stateless methods
-  /// (validate_image / patch / flops_for_tokens) are used, so any number
-  /// of submitting threads may share it.
-  std::unique_ptr<InferenceEngine> patch_engine_;
+  /// Client-side admit engine: only its const methods (validate_image /
+  /// admit) are used, so any number of submitting threads may share it.
+  std::unique_ptr<InferenceEngine> admit_engine_;
   std::atomic<std::uint64_t> next_id_{0};
   /// Process-wide scheduler counters at construction; stats() reports the
   /// delta, scoping steal/task counts to this server's lifetime.
@@ -166,7 +169,7 @@ class Server {
   bool model_was_training_ APF_GUARDED_BY(shutdown_mu_) = false;
   bool shut_down_ APF_GUARDED_BY(shutdown_mu_) = false;
 
-  /// One content cache shared by every worker engine and the patch
+  /// One content cache shared by every worker engine and the admit
   /// engine; nullptr when cfg_.cache is disabled. The engines hold it by
   /// shared_ptr, so entries stay valid however the server winds down.
   std::shared_ptr<InferenceCache> cache_;

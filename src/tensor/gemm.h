@@ -4,8 +4,8 @@
 //
 // apf::gemm() is the stable entry point; the kernel behind it is the active
 // apf::GemmBackend (tensor/gemm_backend.h): a cache-blocked reference
-// kernel, an AVX2-accelerated kernel (when compiled in and the CPU supports
-// it), or an external CBLAS adapter (when found at configure time).
+// kernel, or an AVX2 (bitwise-exact), FMA or int8 kernel (each when
+// compiled in and the CPU supports it).
 // Selection is runtime: APF_GEMM_BACKEND env var or set_gemm_backend().
 //
 // ---------------------------------------------------------------- contract
@@ -38,10 +38,10 @@
 //    reference and avx2 therefore produce bitwise-identical results for
 //    every call.
 //
-// The blas backend honors the panel contract by construction (it issues
-// one CBLAS call per row panel) and is deterministic for identical calls,
-// but its values may differ from reference within normal fp32 rounding —
-// which is why it is opt-in and never wins the default selection.
+// The tolerance-grade fma backend honors the panel contract and is
+// deterministic for identical calls, but its values may differ from
+// reference within normal fp32 rounding — which is why it is opt-in and
+// never wins the default selection.
 //
 // ------------------------------------------------- parallel dispatch
 // apf::gemm() itself parallelizes: it splits m into kGemmRowPanel-aligned

@@ -168,7 +168,7 @@ namespace {
 #if defined(APF_GEMM_INT8_AVX2_BUILD)
 
 // Registry adapter: quantize-on-the-fly sgemm so the int8 path is sweepable
-// by the same conformance and bench harnesses as avx2/fma/blas. op(B) is
+// by the same conformance and bench harnesses as avx2/fma. op(B) is
 // quantized and packed PER CALL here (thread_local scratch) — the serving
 // path avoids that cost by prepacking weights once per layer and calling
 // int8_linear (quantize.h) directly. Quantization is row-/channel-local

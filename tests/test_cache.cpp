@@ -272,7 +272,6 @@ TEST(InferenceCache, ResultGetDeepCopiesOut) {
   value.logits = Tensor::full({1, 1, 4, 4}, 2.5f);
   value.mask = img::Image(4, 4, 1);
   value.valid_tokens = 9;
-  value.model_flops = 1.5;
   cache.put_result(key_of(7), value);
 
   std::optional<serve::CachedResult> first = cache.get_result(key_of(7));
@@ -283,7 +282,6 @@ TEST(InferenceCache, ResultGetDeepCopiesOut) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->logits[0], 2.5f) << "stored entry was corrupted";
   EXPECT_EQ(second->valid_tokens, 9);
-  EXPECT_EQ(second->model_flops, 1.5);
 
   // put_result also deep-copied IN: mutating the original is invisible.
   value.logits[1] = -3.f;
@@ -407,6 +405,23 @@ TEST(EngineCache, MixedHitMissBatchMatchesColdBitwise) {
 
   serve::InferenceEngine cold_engine(rig.model, rig.engine_config());
   expect_bitwise_equal(got, cold_engine.run(mixed), "mixed batch vs cold");
+
+  // Misses spanning several chunks with hits between them: the results of
+  // each chunk must land back in the right input slots at every offset.
+  serve::EngineConfig small = rig.engine_config();
+  small.max_batch = 2;
+  std::vector<img::Image> more = rig.images(9);
+  serve::InferenceEngine chunked(rig.model, small);
+  chunked.set_cache(std::make_shared<serve::InferenceCache>(cache_config()));
+  chunked.run({more[1], more[4], more[7]});
+  // Misses 0,2 | 3,5 | 6,8 — every chunk straddles a hit.
+  const serve::InferenceResult got_chunked = chunked.run(more);
+  EXPECT_EQ(got_chunked.stats.result_cache_hits, 3);
+  EXPECT_EQ(got_chunked.stats.result_cache_misses, 6);
+  EXPECT_EQ(got_chunked.stats.batches, 3) << "6 misses at max_batch 2";
+  serve::InferenceEngine chunked_cold(rig.model, small);
+  expect_bitwise_equal(got_chunked, chunked_cold.run(more),
+                       "multi-chunk mixed batch vs cold");
 }
 
 TEST(EngineCache, PatchTierAloneSkipsPatchingOnly) {
@@ -564,6 +579,39 @@ TEST(ServerCache, WarmWaveBitwiseIdenticalAndServedFromSubmit) {
   EXPECT_EQ(hit.stats.result_cache_hits, 1);
   EXPECT_EQ(hit.stats.batch_size, 0);
   EXPECT_GT(hit.stats.tokens, 0) << "hit stats still report valid tokens";
+}
+
+// run() and Server drive the same admit/complete stages, so a run() call's
+// stats must equal the sum of the server's per-request stats for the same
+// images, cold wave and warm wave alike.
+TEST(ServerCache, RunStatsEqualSummedServerRequestStats) {
+  Rig rig;
+  const std::vector<img::Image> imgs = rig.images(6);
+  serve::InferenceEngine engine(rig.model, rig.engine_config());
+  engine.set_cache(std::make_shared<serve::InferenceCache>(cache_config()));
+
+  serve::ServerConfig scfg;
+  scfg.engine = rig.engine_config();
+  scfg.num_workers = 2;
+  scfg.cache = cache_config();
+  serve::Server server(rig.model, scfg);
+
+  for (const char* wave : {"cold wave", "warm wave"}) {
+    const serve::InferenceStats want = engine.run(imgs).stats;
+    serve::InferenceStats sum;
+    for (auto& f : server.submit_many(imgs)) sum.add_request(f.get().stats);
+    EXPECT_EQ(sum.images, want.images) << wave;
+    EXPECT_EQ(sum.tokens, want.tokens) << wave;
+    EXPECT_DOUBLE_EQ(sum.model_flops, want.model_flops) << wave;
+    EXPECT_EQ(sum.patch_cache_hits, want.patch_cache_hits) << wave;
+    EXPECT_EQ(sum.patch_cache_misses, want.patch_cache_misses) << wave;
+    EXPECT_EQ(sum.result_cache_hits, want.result_cache_hits) << wave;
+    EXPECT_EQ(sum.result_cache_misses, want.result_cache_misses) << wave;
+  }
+  // The waves really were cold then warm.
+  const serve::InferenceStats agg = server.stats();
+  EXPECT_EQ(agg.result_cache_misses, 6);
+  EXPECT_EQ(agg.result_cache_hits, 6);
 }
 
 TEST(ServerCache, StatsWindowsResetBetweenCalls) {

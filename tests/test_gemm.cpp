@@ -6,10 +6,9 @@
 // guarantees the serving paths depend on (gemm.h): panel-boundary splits
 // for every backend, arbitrary-row splits plus n/k prefix truncation for
 // the bitwise-exact ones. Cross-backend, bitwise-exact backends must match
-// the reference backend bit for bit; the tolerance-grade backends (fma,
-// blas — when present) must agree within fp32 rounding. Registry tests
-// cover name lookup, unknown-name fallback, and APF_GEMM_BACKEND
-// selection.
+// the reference backend bit for bit; the tolerance-grade fma backend
+// must agree within fp32 rounding. Registry tests cover name lookup,
+// unknown-name fallback, and APF_GEMM_BACKEND selection.
 
 #include <gtest/gtest.h>
 
@@ -262,25 +261,6 @@ TEST(GemmCrossBackend, FmaMatchesReferenceWithinTolerance) {
     }
 }
 
-TEST(GemmCrossBackend, BlasMatchesReferenceWithinTolerance) {
-  GemmBackend* blas = find_gemm_backend("blas");
-  ASSERT_NE(blas, nullptr);  // registered even when not compiled in
-  if (!blas->is_available())
-    GTEST_SKIP() << "no CBLAS in this build — blas backend unavailable";
-  const std::int64_t m = 65, n = 257, k = 300;
-  Rng rng(43);
-  Tensor a = Tensor::randn({m, k}, rng);
-  Tensor b = Tensor::randn({k, n}, rng);
-  Tensor c0 = Tensor::zeros({m, n});
-  Tensor ref = run_backend("reference", false, false, m, n, k, 1.f, a, b,
-                           0.f, c0);
-  Tensor got = run_backend("blas", false, false, m, n, k, 1.f, a, b, 0.f,
-                           c0);
-  for (std::int64_t i = 0; i < ref.numel(); ++i)
-    ASSERT_NEAR(got[i], ref[i], 1e-4 * std::max(1.f, std::fabs(ref[i])))
-        << "at " << i;
-}
-
 // -------------------------------------------------- parallel dispatch
 
 /// RAII restore for the global thread count (0 = automatic resolution).
@@ -371,10 +351,9 @@ TEST(GemmRegistry, ReferenceIsAlwaysRegisteredAndAvailable) {
   ASSERT_NE(ref, nullptr);
   EXPECT_TRUE(ref->is_available());
   EXPECT_TRUE(ref->bitwise_exact());
-  // All four ship in the registry regardless of build flags.
+  // The ISA-gated backends ship in the registry regardless of build flags.
   EXPECT_NE(find_gemm_backend("avx2"), nullptr);
   EXPECT_NE(find_gemm_backend("fma"), nullptr);
-  EXPECT_NE(find_gemm_backend("blas"), nullptr);
   EXPECT_EQ(find_gemm_backend("no-such-backend"), nullptr);
 }
 

@@ -5,7 +5,8 @@ Each rule gets a known-bad snippet that MUST be flagged and a matching
 good/whitelisted snippet that MUST pass, so the linter cannot silently
 rot into accepting everything (or rejecting the committed idioms).
 The suite exercises apflint.determinism (the framework module) directly;
-one case pins the scripts/lint_determinism.py shim surface on top.
+the analyzer runs alone on a tree as
+scripts/apf_lint.py --analyzer determinism.
 Run directly (python3 tests/test_lint_determinism.py) or via ctest.
 """
 
@@ -225,20 +226,6 @@ class IsaGateRule(unittest.TestCase):
         for tu in ("src/tensor/gemm_avx2.cpp", "src/tensor/gemm_fma.cpp",
                    "src/tensor/gemm_int8.cpp"):
             self.assertIn(tu, derived)
-
-
-class ShimSurface(unittest.TestCase):
-    """scripts/lint_determinism.py stays importable with its original
-    module surface (external callers, CMake registration)."""
-
-    def test_shim_reexports_framework(self):
-        import lint_determinism as shim
-        self.assertIs(shim.scan_source_text, lint.scan_source_text)
-        self.assertIs(shim.check_compile_commands,
-                      lint.check_compile_commands)
-        self.assertIs(shim.ISA_GATED_TUS, lint.ISA_GATED_TUS)
-        self.assertEqual(shim.MARKER_WINDOW, base.MARKER_WINDOW)
-        self.assertEqual(shim.MIN_JUSTIFICATION, base.MIN_JUSTIFICATION)
 
 
 class CommittedTree(unittest.TestCase):
