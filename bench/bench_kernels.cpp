@@ -65,6 +65,38 @@ void BM_AttentionScores(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionScores)->Arg(64)->Arg(256)->Arg(1024);
 
+void BM_SoftmaxRows(benchmark::State& state) {
+  // The softmax row kernel alone, on ~1M standard-normal scores cut into
+  // rows of length L (64: a 128 px tile at patch 16; 360: a short adaptive
+  // sequence; 1024: the dense_tokens grid), at one thread.
+  const std::int64_t l = state.range(0);
+  const std::int64_t rows = (std::int64_t{1} << 20) / l;
+  apf::ThreadLimitGuard width(1);
+  apf::Rng rng(4);
+  apf::Tensor s = apf::Tensor::randn({rows, l}, rng);
+  for (auto _ : state) {
+    apf::Tensor p = apf::ops::softmax_lastdim(s);
+    benchmark::DoNotOptimize(p.data());
+  }
+  state.SetItemsProcessed(state.iterations() * rows * l);
+}
+BENCHMARK(BM_SoftmaxRows)->Arg(64)->Arg(360)->Arg(1024);
+
+void BM_Gelu(benchmark::State& state) {
+  // Elementwise GELU over 1M values of spread 2 (MLP hidden activations),
+  // at one thread.
+  const std::int64_t n = std::int64_t{1} << 20;
+  apf::ThreadLimitGuard width(1);
+  apf::Rng rng(5);
+  apf::Tensor x = apf::ops::mul_scalar(apf::Tensor::randn({n}, rng), 2.f);
+  for (auto _ : state) {
+    apf::Tensor y = apf::ops::gelu(x);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_Gelu);
+
 void BM_Conv2d(benchmark::State& state) {
   // One UNETR decoder 3x3 conv (in_c -> 8 channels, pad 1) on a batch-1
   // z x z map, grad-free as in serving, at a parallel width of `threads`

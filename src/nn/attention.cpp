@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -131,34 +130,10 @@ Tensor fused_masked_attention(const Tensor& q, const Tensor& k,
       // Scale in a separate elementwise pass so rounding matches the
       // composed scale(bmm(q, k^T)) reference bitwise.
       for (std::int64_t j = 0; j < ncols; ++j) srow[j] *= scale;
-      // In-place softmax replicating ops::softmax_lastdim exactly:
-      // masked-aware max, float exp, double-accumulated denominator,
-      // zeros (never NaN) when no probability mass survives. Keys past
-      // ncols are all masked, so skipping them matches the reference.
-      float mx = -std::numeric_limits<float>::infinity();
-      for (std::int64_t j = 0; j < ncols; ++j) {
-        if (mrow && mrow[j] == 0.f) continue;
-        mx = std::max(mx, srow[j]);
-      }
-      if (mx == -std::numeric_limits<float>::infinity()) {
-        std::fill(srow, srow + ncols, 0.f);
-        continue;
-      }
-      double denom = 0.0;
-      for (std::int64_t j = 0; j < ncols; ++j) {
-        if (mrow && mrow[j] == 0.f) {
-          srow[j] = 0.f;
-        } else {
-          srow[j] = std::exp(srow[j] - mx);
-          denom += srow[j];
-        }
-      }
-      if (denom == 0.0) {
-        std::fill(srow, srow + ncols, 0.f);
-        continue;
-      }
-      const float inv = static_cast<float>(1.0 / denom);
-      for (std::int64_t j = 0; j < ncols; ++j) srow[j] *= inv;
+      // The softmax_lastdim row kernel, in place. Keys past ncols are all
+      // masked, and its lane order makes the prefix row match the full
+      // masked row bitwise.
+      ops::softmax_row(srow, mrow, ncols, srow);
     }
     gemm(false, false, rows, dv, ncols, 1.f, s, ncols, pv + bi * n * dv, dv,
          0.f, pc + (bi * l + i0) * dv, dv);

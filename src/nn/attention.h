@@ -21,8 +21,10 @@ namespace apf::nn {
 /// whose keys are all masked produce zero context, matching
 /// ops::softmax_lastdim. Bitwise identical to the composed
 /// bmm/scale/softmax/bmm pipeline for every query row up to each item's
-/// last valid key: the row-block size matches the gemm panel size and the
-/// softmax replicates ops::softmax_lastdim's accumulation order exactly.
+/// last valid key: the row-block size matches the gemm panel size, and the
+/// softmax is ops::softmax_row itself, run in place on the score panel
+/// over the valid key prefix (its lane order makes that prefix row equal
+/// the full masked row, see tensor/ops.h).
 /// Work on padding is pruned — keys past the last valid one are never
 /// touched, and (for self-attention, l == n) padded query rows are defined
 /// to be zero where the taped path leaves them unspecified; model outputs

@@ -221,17 +221,15 @@ Var Mlp::forward(const Var& x, const Tensor* key_mask) const {
         active_precision() == Precision::kInt8 && int8_available();
     if (use_int8 || total_rows(n_eff) < b * l) {
       Var h = fc1_.forward(x, key_mask);
-      // GELU on the valid prefix only (same scalar function as ops::gelu,
-      // so valid rows match the full elementwise pass bitwise).
+      // GELU on the valid prefix only (the row kernel ops::gelu runs, so
+      // valid rows match the full elementwise pass bitwise).
       Tensor g(h.shape());
       const std::int64_t hd = h.size(2);
       const float* ph = h.val().data();
       float* pg = g.data();
       parallel_for(b * l, [&](std::int64_t r) {
         if (r % l >= n_eff[static_cast<std::size_t>(r / l)]) return;
-        const float* hr = ph + r * hd;
-        float* gr = pg + r * hd;
-        for (std::int64_t j = 0; j < hd; ++j) gr[j] = ops::gelu_scalar(hr[j]);
+        ops::gelu_row(ph + r * hd, hd, pg + r * hd);
       });
       return fc2_.forward(Var::constant(std::move(g)), key_mask);
     }

@@ -7,7 +7,7 @@
 // mask-aware fast path: rows past each item's last valid token are skipped
 // and returned as zeros, and the valid rows are bitwise identical to the
 // full computation — the gemm row-stability contract (tensor/gemm.h) plus
-// the shared row kernels (ops::layernorm_row, ops::gelu_scalar) make the
+// the shared row kernels (ops::layernorm_row, ops::gelu_row) make the
 // row subset computationally indistinguishable from the full pass. Padding
 // never leaks downstream: attention prunes padded queries/keys, and the
 // scatter / pooling stages drop invalid tokens.

@@ -72,6 +72,17 @@ void InferenceEngine::validate_image(const img::Image& image,
   APF_CHECK(image.h > 0 && image.w > 0 && image.c > 0,
             "InferenceEngine: " << where() << " is empty (" << image.h << "x"
                                 << image.w << "x" << image.c << ")");
+  // Image exposes its geometry and its buffer separately, and Image::at
+  // bounds-checks only in debug builds: a short buffer would be read past
+  // its end. size == h * w * c is tested by division, so nothing overflows.
+  const auto size = static_cast<std::uint64_t>(image.data.size());
+  const auto h = static_cast<std::uint64_t>(image.h);
+  const auto w = static_cast<std::uint64_t>(image.w);
+  const auto c = static_cast<std::uint64_t>(image.c);
+  APF_CHECK(size % c == 0 && size / c % w == 0 && size / c / w == h,
+            "InferenceEngine: " << where() << " is " << image.h << "x"
+                                << image.w << "x" << image.c << " but holds "
+                                << size << " pixel values");
   APF_CHECK(image.h == image.w,
             "InferenceEngine: " << where() << " is " << image.h << "x"
                                 << image.w << "x" << image.c
@@ -95,6 +106,12 @@ void InferenceEngine::validate_image(const img::Image& image,
                                   << cfg_.patcher.patch_size << " needs "
                                   << expected_c);
   }
+  const auto bad = std::find_if_not(image.data.begin(), image.data.end(),
+                                    [](float v) { return std::isfinite(v); });
+  APF_CHECK(bad == image.data.end(),
+            "InferenceEngine: " << where() << " has a non-finite pixel ("
+                                << *bad << " at index "
+                                << (bad - image.data.begin()) << ")");
 }
 
 void InferenceStats::add_request(const InferenceStats& request) {

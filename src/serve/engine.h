@@ -251,9 +251,11 @@ class InferenceEngine {
   img::Image predict_mask(const img::Image& image);
 
   /// Throws detail::CheckError naming index and shape when the image is
-  /// not square, does not match the model's expected_image_size(), or its
-  /// channel count disagrees with the model's token dimension. index < 0
-  /// omits the index from the message (single-image call sites).
+  /// not square, does not match the model's expected_image_size(), its
+  /// channel count disagrees with the model's token dimension, its pixel
+  /// buffer does not hold exactly h * w * c values, or a pixel is NaN or
+  /// infinite. index < 0 omits the index from the message (single-image
+  /// call sites).
   void validate_image(const img::Image& image, std::int64_t index = -1) const;
 
   /// Analytical encoder FLOPs for one image with the given valid-token

@@ -82,15 +82,159 @@ Tensor relu(const Tensor& a) {
 }
 
 namespace {
+
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+
+// ---- 4-lane vector helpers for the softmax and GELU row kernels ----------
+// 16-byte GCC/Clang vector types compile to packed SSE on the x86-64
+// baseline. Plain scalar loops do not vectorize here: the selects below
+// are float compares, which -ftrapping-math keeps the compiler from
+// if-converting, and 32-byte vectors lower to scalar code without AVX.
+// Full blocks load and store through memcpy; a row's partial last block
+// goes through a padded copy, so every element takes the same lane
+// arithmetic.
+constexpr std::int64_t kLanes = 4;
+using F4 = float __attribute__((vector_size(16)));
+using I4 = std::int32_t __attribute__((vector_size(16)));
+using U4 = std::uint32_t __attribute__((vector_size(16)));
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+[[gnu::always_inline]] inline F4 splat(float v) { return F4{v, v, v, v}; }
+
+// Lanes [0, len) of p (len <= kLanes); the rest are `fill`.
+[[gnu::always_inline]] inline F4 load(const float* p, std::int64_t len,
+                                      float fill) {
+  F4 v = splat(fill);
+  if (len == kLanes) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (std::int64_t t = 0; t < len; ++t) v[t] = p[t];
+  }
+  return v;
 }
 
-float gelu_scalar(float x) {
-  return 0.5f * x * (1.f + std::tanh(kGeluC * (x + 0.044715f * x * x * x)));
+// Stores lanes [0, len) of v (len <= kLanes) to p.
+[[gnu::always_inline]] inline void store(float* p, F4 v, std::int64_t len) {
+  if (len == kLanes) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (std::int64_t t = 0; t < len; ++t) p[t] = v[t];
+  }
+}
+
+// Calls f(j, len) for the blocks [j, j + len) of [0, n): whole blocks in
+// one loop, then the partial last one (len < kLanes) if any.
+template <class F>
+[[gnu::always_inline]] inline void for_each_block(std::int64_t n, F&& f) {
+  std::int64_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) f(j, kLanes);
+  if (j < n) f(j, n - j);
+}
+
+// Per lane: m ? a : b, for a compare result m (all ones or all zeros).
+[[gnu::always_inline]] inline F4 select(I4 m, F4 a, F4 b) {
+  return reinterpret_cast<F4>((reinterpret_cast<I4>(a) & m) |
+                              (reinterpret_cast<I4>(b) & ~m));
+}
+
+// exp per lane, after Cephes' expf: x = n ln2 + r with n rounded to
+// nearest (ln2 split in two so n * ln2 is exact), e^r by a degree-5
+// polynomial, 2^n built in the exponent bits. n is read from the mantissa
+// of the rounding sum, so no float -> int conversion runs. The argument is
+// clamped to [kExpLo, kExpTop], keeping 2^n's biased exponent in [1, 255]:
+// above 127.5 ln2 = 88.376 it is 255 (+inf), and lanes below kExpLo
+// (including -inf) are masked to exactly 0. NaN passes both clamps and
+// comes out NaN.
+[[gnu::always_inline]] inline F4 exp4(F4 x) {
+  constexpr float kExpLo = -87.3365447505531f;  // ln(FLT_MIN): n = -126
+  constexpr float kExpTop = 89.f;               // n = 128
+  constexpr float kLog2e = 1.44269504088896341f;
+  // 1.5 * 2^23: the sum's low mantissa bits hold the rounded integer.
+  constexpr float kRound = 12582912.f;
+  const F4 lo = splat(kExpLo), top = splat(kExpTop);
+  F4 xc = select(x < lo, lo, x);
+  xc = select(xc > top, top, xc);
+  const F4 rounded = xc * splat(kLog2e) + splat(kRound);
+  const F4 n = rounded - splat(kRound);
+  F4 r = xc - n * splat(0.693359375f);
+  r = r - n * splat(-2.12194440e-4f);
+  F4 p = splat(1.9875691500e-4f);
+  p = p * r + splat(1.3981999507e-3f);
+  p = p * r + splat(8.3334519073e-3f);
+  p = p * r + splat(4.1665795894e-2f);
+  p = p * r + splat(1.6666665459e-1f);
+  p = p * r + splat(5.0000001201e-1f);
+  const F4 er = p * (r * r) + r + splat(1.f);
+  const U4 bits = (reinterpret_cast<U4>(rounded) << 23) + (127u << 23);
+  const F4 e = er * reinterpret_cast<F4>(bits);
+  return reinterpret_cast<F4>(reinterpret_cast<I4>(e) & ~(x < lo));
+}
+
+}  // namespace
+
+void softmax_row(const float* x, const float* mask, std::int64_t n,
+                 float* y) {
+  // Block [j, j + len) of the row; masked keys and the tail read as -inf.
+  const auto scores = [&](std::int64_t j, std::int64_t len) {
+    const F4 v = load(x + j, len, -kInf);
+    if (mask == nullptr) return v;
+    return select(load(mask + j, len, 1.f) == splat(0.f), splat(-kInf), v);
+  };
+  F4 lane_max = splat(-kInf);
+  for_each_block(n, [&](std::int64_t j, std::int64_t len) {
+    const F4 v = scores(j, len);
+    lane_max = select(v > lane_max, v, lane_max);  // NaN never wins
+  });
+  const float mx = std::max(std::max(lane_max[0], lane_max[1]),
+                            std::max(lane_max[2], lane_max[3]));
+  if (mx == -kInf) {
+    // Fully masked row: all-zero output (no probability mass).
+    std::fill(y, y + n, 0.f);
+    return;
+  }
+  F4 lane_sum = splat(0.f);
+  for_each_block(n, [&](std::int64_t j, std::int64_t len) {
+    const F4 e = exp4(scores(j, len) - splat(mx));
+    store(y + j, e, len);
+    lane_sum += e;
+  });
+  const float denom =
+      (lane_sum[0] + lane_sum[1]) + (lane_sum[2] + lane_sum[3]);
+  if (denom == 0.f) {
+    // Defensive: no surviving probability mass. Emit zeros instead of
+    // dividing by zero — NaN here would poison the whole sequence through
+    // the attention matmul.
+    std::fill(y, y + n, 0.f);
+    return;
+  }
+  const F4 inv = splat(1.f / denom);
+  for_each_block(n, [&](std::int64_t j, std::int64_t len) {
+    store(y + j, load(y + j, len, 0.f) * inv, len);
+  });
+}
+
+void gelu_row(const float* x, std::int64_t n, float* y) {
+  // -2 sqrt(2/pi): scaling by -2 is exact, so c * (...) is -2u bitwise.
+  const F4 c = splat(-2.f * kGeluC);
+  for_each_block(n, [&](std::int64_t j, std::int64_t len) {
+    const F4 v = load(x + j, len, 0.f);
+    const F4 t = exp4(c * (v + splat(0.044715f) * v * v * v));
+    store(y + j, v / (splat(1.f) + t), len);
+  });
 }
 
 Tensor gelu(const Tensor& a) {
-  return unary_op(a, [](float x) { return gelu_scalar(x); });
+  constexpr std::int64_t kChunk = 4096;
+  Tensor out = Tensor::empty(a.shape());
+  const float* pa = a.data();
+  float* po = out.data();
+  const std::int64_t n = a.numel();
+  parallel_for((n + kChunk - 1) / kChunk, [&](std::int64_t c) {
+    const std::int64_t j0 = c * kChunk;
+    gelu_row(pa + j0, std::min(kChunk, n - j0), po + j0);
+  }, /*grain=*/2);
+  return out;
 }
 
 Tensor gelu_grad(const Tensor& a) {
@@ -355,37 +499,8 @@ Tensor softmax_lastdim(const Tensor& x, const Tensor* key_mask) {
   const float* px = x.data();
   float* po = out.data();
   parallel_for(rows, [&](std::int64_t r) {
-    const float* xr = px + r * n;
-    float* orow = po + r * n;
-    const float* mrow = pm ? pm + (r / rows_per_b) * n : nullptr;
-    float mx = -std::numeric_limits<float>::infinity();
-    for (std::int64_t j = 0; j < n; ++j) {
-      if (mrow && mrow[j] == 0.f) continue;
-      mx = std::max(mx, xr[j]);
-    }
-    if (mx == -std::numeric_limits<float>::infinity()) {
-      // Fully masked row: all-zero output (no probability mass).
-      std::fill(orow, orow + n, 0.f);
-      return;
-    }
-    double denom = 0.0;
-    for (std::int64_t j = 0; j < n; ++j) {
-      if (mrow && mrow[j] == 0.f) {
-        orow[j] = 0.f;
-      } else {
-        orow[j] = std::exp(xr[j] - mx);
-        denom += orow[j];
-      }
-    }
-    if (denom == 0.0) {
-      // Defensive: no surviving probability mass (e.g. every unmasked
-      // entry is -inf). Emit zeros instead of dividing by zero — NaN here
-      // would poison the whole sequence through the attention matmul.
-      std::fill(orow, orow + n, 0.f);
-      return;
-    }
-    const float inv = static_cast<float>(1.0 / denom);
-    for (std::int64_t j = 0; j < n; ++j) orow[j] *= inv;
+    softmax_row(px + r * n, pm ? pm + (r / rows_per_b) * n : nullptr, n,
+                po + r * n);
   });
   return out;
 }

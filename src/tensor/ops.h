@@ -33,12 +33,9 @@ Tensor exp(const Tensor& a);
 Tensor log(const Tensor& a);
 Tensor sqrt(const Tensor& a);
 Tensor relu(const Tensor& a);
-/// Tanh-approximation GELU (the variant used by ViT implementations).
+/// Tanh-approximation GELU (the variant used by ViT implementations),
+/// computed by gelu_row.
 Tensor gelu(const Tensor& a);
-/// The exact scalar function ops::gelu applies per element. Exposed so the
-/// mask-aware inference path (nn::Mlp) can apply it to a row subset and
-/// stay bitwise identical to the full elementwise pass.
-float gelu_scalar(float x);
 /// d gelu(x) / dx, elementwise (used by the autograd layer).
 Tensor gelu_grad(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
@@ -79,13 +76,48 @@ float max_all(const Tensor& a);
 /// Row-wise argmax over the last dim; returns indices of shape rows.
 std::vector<std::int64_t> argmax_lastdim(const Tensor& x);
 
-// ---- Softmax -------------------------------------------------------------------
-/// Numerically stable softmax over the last dimension. If key_mask is
-/// non-null it must have shape [B, N] matching x's layout [B*rows_per_b, N]
-/// (rows_per_b = x.numel()/(B*N)); masked (0) keys get probability 0. Rows
-/// with no surviving probability mass — all keys masked (e.g. an
-/// over-padded fit_to_length output) or every unmasked entry -inf — are
-/// defined to be all-zero, never NaN.
+// ---- Softmax and GELU row kernels ------------------------------------------------
+// Both run 4-lane vectors on the baseline ISA, with one private exp:
+// round-to-nearest range reduction, a degree-5 polynomial and the exponent
+// bits, using IEEE +, *, compares and integer bit operations only. That exp
+// returns exactly 0 below ln(FLT_MIN) (including -inf), +inf above 88.376
+// (where 2^n would leave the float range) and NaN for NaN. It reads the
+// exponent from the bits of the rounded, clamped argument, so no
+// float -> int conversion runs. Results are deterministic on every backend
+// and thread count, but they are not libm's. Against the same formula in
+// double: softmax({0, x}) is within 1.9e-7 relative for x in [-87, 0] (in
+// longer rows the float x - max adds its own rounding), and GELU within
+// 1.6e-6 relative on [-4, inf), growing to 1.5e-5 at -10, where the
+// rounding of the float exp argument is amplified by |2u| <= 87.
+
+/// One softmax row over n elements: y = exp(x - max) / sum, in place when
+/// x == y. mask (optional, length n) masks keys whose entry is 0; masked
+/// keys get probability 0. Lane order is part of the contract: element j
+/// always feeds lane j % 4, masked keys and the tail past n read as -inf,
+/// so they add exact zeros to the same four float lane sums, which combine
+/// as (s0 + s1) + (s2 + s3). A row's first v outputs are therefore
+/// bitwise the same whether it is run over its first v elements or over a
+/// longer row whose suffix is masked — the fused attention kernel stops at
+/// each item's last valid key and still matches the full masked row.
+/// Rows with no surviving probability mass (all keys masked, or every
+/// unmasked entry -inf) are all-zero, never NaN; a NaN or +inf score makes
+/// its row NaN.
+void softmax_row(const float* x, const float* mask, std::int64_t n, float* y);
+
+/// Tanh-approximation GELU over n elements, in place when x == y:
+/// 0.5 x (1 + tanh(u)) with u = sqrt(2/pi) (x + 0.044715 x^3), evaluated
+/// as x / (1 + exp(-2u)). Elementwise and lane-independent, so any split
+/// of a tensor into rows gives the same bits as ops::gelu on the whole —
+/// the mask-aware inference path (nn::Mlp) runs it on valid rows only.
+/// gelu(+inf) = +inf, gelu(-inf) = NaN (as the tanh form), NaN stays NaN.
+void gelu_row(const float* x, std::int64_t n, float* y);
+
+/// Numerically stable softmax over the last dimension, one softmax_row
+/// per row. If key_mask is non-null it must have shape [B, N] matching x's
+/// layout [B*rows_per_b, N] (rows_per_b = x.numel()/(B*N)); masked (0)
+/// keys get probability 0. Rows with no surviving probability mass — all
+/// keys masked (e.g. an over-padded fit_to_length output) or every
+/// unmasked entry -inf — are defined to be all-zero, never NaN.
 Tensor softmax_lastdim(const Tensor& x, const Tensor* key_mask = nullptr);
 /// Backward of softmax_lastdim: given y = softmax(x) and dL/dy, returns
 /// dL/dx = y * (dy - sum(dy * y)).

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/apf_config.h"
 #include "models/patcher.h"
@@ -64,28 +65,32 @@ TEST(FusedAttention, MaskedBitwiseMatchesComposedOnValidRows) {
   Tensor q = Tensor::randn({b * h, l, dh}, rng);
   Tensor k = Tensor::randn({b * h, l, dh}, rng);
   Tensor v = Tensor::randn({b * h, l, dh}, rng);
-  // Item 0 is padded past token 37 (fit_to_length-style suffix padding);
-  // item 1 is fully valid.
-  Tensor mask = Tensor::zeros({b, l});
-  const std::int64_t valid0 = 37;
-  for (std::int64_t j = 0; j < valid0; ++j) mask.at({0, j}) = 1.f;
-  for (std::int64_t j = 0; j < l; ++j) mask.at({1, j}) = 1.f;
-  const float scale = 0.25f;
-  Tensor want = ref_attention(q, k, v, scale, &mask);
-  Tensor got = nn::fused_masked_attention(q, k, v, scale, &mask, b);
-  for (std::int64_t bi = 0; bi < b * h; ++bi) {
-    const std::int64_t nv = (bi / h == 0) ? valid0 : l;
-    for (std::int64_t i = 0; i < l; ++i) {
-      for (std::int64_t d = 0; d < dh; ++d) {
-        const float gv = got.at({bi, i, d});
-        if (i < nv) {
-          // Valid query rows: bitwise identical to the taped values.
-          assert_value_matches(gv, want.at({bi, i, d}), "masked fused",
-                               (bi * l + i) * dh + d);
-        } else {
-          // Padded query rows are unspecified in the reference; the fused
-          // kernel defines them as zero.
-          ASSERT_EQ(gv, 0.f) << "bi=" << bi << " i=" << i << " d=" << d;
+  // Item 0 is padded past token valid0 (fit_to_length-style suffix
+  // padding); item 1 is fully valid. The fused kernel's softmax stops at
+  // valid0, the composed one runs the padded row: the lengths sit on and
+  // one past the 4-lane blocks and the 64-row gemm panel.
+  for (const std::int64_t valid0 : {1, 8, 9, 37, 64, 65}) {
+    SCOPED_TRACE("valid0=" + std::to_string(valid0));
+    Tensor mask = Tensor::zeros({b, l});
+    for (std::int64_t j = 0; j < valid0; ++j) mask.at({0, j}) = 1.f;
+    for (std::int64_t j = 0; j < l; ++j) mask.at({1, j}) = 1.f;
+    const float scale = 0.25f;
+    Tensor want = ref_attention(q, k, v, scale, &mask);
+    Tensor got = nn::fused_masked_attention(q, k, v, scale, &mask, b);
+    for (std::int64_t bi = 0; bi < b * h; ++bi) {
+      const std::int64_t nv = (bi / h == 0) ? valid0 : l;
+      for (std::int64_t i = 0; i < l; ++i) {
+        for (std::int64_t d = 0; d < dh; ++d) {
+          const float gv = got.at({bi, i, d});
+          if (i < nv) {
+            // Valid query rows: bitwise identical to the taped values.
+            assert_value_matches(gv, want.at({bi, i, d}), "masked fused",
+                                 (bi * l + i) * dh + d);
+          } else {
+            // Padded query rows are unspecified in the reference; the
+            // fused kernel defines them as zero.
+            ASSERT_EQ(gv, 0.f) << "bi=" << bi << " i=" << i << " d=" << d;
+          }
         }
       }
     }

@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -463,6 +465,52 @@ TEST(Server, RejectsBadGeometryAtSubmitTime) {
   server.shutdown();
   EXPECT_EQ(server.stats().images, before)
       << "a rejected submit_many must not enqueue a partial batch";
+}
+
+// Image keeps its geometry and its pixel buffer apart, and Image::at only
+// bounds-checks in debug builds, so a buffer shorter than h * w * c would
+// be read past its end, and NaN / Inf pixels would reach the model. Each
+// entry point rejects both, and the server keeps serving afterwards.
+TEST(Server, RejectsShortBuffersAndNonFinitePixels) {
+  Rig rig;
+  const std::vector<img::Image> good = rig.images(1);
+  std::vector<img::Image> bad(5, good[0]);
+  bad[0].data.resize(3);                 // 32x32x3 header, 3 floats
+  bad[1].data.push_back(0.5f);           // one value too many
+  bad[2].data.clear();                   // header without a buffer
+  bad[3].data[17] = std::nanf("");
+  bad[4].data.back() = -std::numeric_limits<float>::infinity();
+
+  serve::InferenceEngine engine(rig.model, rig.engine_config());
+  for (std::size_t i = 0; i < bad.size(); ++i)
+    EXPECT_THROW(engine.run({bad[i]}), detail::CheckError) << "case " << i;
+  const Tensor want = engine.run(good).logits;
+
+  serve::ServerConfig scfg;
+  scfg.engine = rig.engine_config();
+  scfg.num_workers = 1;
+  serve::Server server(rig.model, scfg);
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(server.submit(bad[i]), detail::CheckError) << "case " << i;
+    EXPECT_THROW(server.submit_many({good[0], bad[i]}), detail::CheckError)
+        << "case " << i;
+  }
+  try {
+    server.submit_many({good[0], bad[3]});
+    FAIL() << "expected CheckError naming image 1";
+  } catch (const detail::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("image 1 has a non-finite pixel"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(server.stats().images, 0)
+      << "rejected requests must not reach a batch";
+
+  const serve::InferenceResult got = server.submit(good[0]).get();
+  ASSERT_EQ(got.logits.shape(), want.shape());
+  for (std::int64_t j = 0; j < got.logits.numel(); ++j)
+    ASSERT_EQ(got.logits[j], want[j]) << "at " << j;
+  server.shutdown();
 }
 
 TEST(Server, ConfigValidation) {

@@ -156,6 +156,50 @@ TEST(Ops, GeluMatchesReference) {
   EXPECT_NEAR(y[3], 0.8412f, 1e-3);
 }
 
+// GELU in double, as x * sigmoid(2u): equal to the tanh form 0.5 x (1 +
+// tanh(u)) in exact arithmetic, but without its cancellation in 1 + tanh(u)
+// on the negative tail.
+double gelu_double(double x) {
+  const double u = 0.7978845608028654 * (x + 0.044715 * x * x * x);
+  return x / (1.0 + std::exp(-2.0 * u));
+}
+
+TEST(Ops, GeluRowMatchesDoubleFormula) {
+  // 2e-6 relative on [-4, 10]. Below -4 the result is under 1e-4 and the
+  // bound is set by the float argument of the exponential: its rounding
+  // error times |2u| (up to 87 at x = -10) reaches ~1.5e-5 relative.
+  std::vector<float> x;
+  for (std::int64_t i = -200000; i <= 200000; ++i)
+    x.push_back(static_cast<float>(i) * 5e-5f);
+  std::vector<float> y(x.size());
+  ops::gelu_row(x.data(), static_cast<std::int64_t>(x.size()), y.data());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double want = gelu_double(x[i]);
+    const double tol = (x[i] >= -4.f ? 2e-6 : 2e-5) * std::fabs(want);
+    ASSERT_LE(std::fabs(y[i] - want), tol) << "x = " << x[i];
+  }
+}
+
+TEST(Ops, GeluRowOnRowSubsetsMatchesWholeTensorBitwise) {
+  // The mask-aware Mlp runs gelu_row on valid rows only; its rows (odd
+  // widths, so each ends mid-block) must equal ops::gelu's chunks bitwise.
+  Rng rng(21);
+  const std::int64_t rows = 9, width = 37;
+  Tensor x = Tensor::randn({rows, width}, rng, 0.f, 3.f);
+  Tensor whole = ops::gelu(x);
+  std::vector<float> y(static_cast<std::size_t>(width));
+  for (std::int64_t r = 0; r < rows; r += 2) {
+    ops::gelu_row(x.data() + r * width, width, y.data());
+    for (std::int64_t j = 0; j < width; ++j)
+      ASSERT_EQ(y[static_cast<std::size_t>(j)], whole[r * width + j])
+          << "row " << r << " col " << j;
+  }
+  // In place, from an offset that is not a multiple of the lane count.
+  Tensor z = x.clone();
+  ops::gelu_row(z.data() + 3, x.numel() - 3, z.data() + 3);
+  for (std::int64_t i = 3; i < x.numel(); ++i) ASSERT_EQ(z[i], whole[i]);
+}
+
 // ------------------------------------------------------------------- gemm
 
 void naive_gemm(bool ta, bool tb, std::int64_t m, std::int64_t n,
@@ -337,6 +381,101 @@ TEST(Ops, SoftmaxMaskWithMultipleRowsPerBatch) {
   EXPECT_NEAR(y.at({0, 0}), 1.f, 1e-6);
   EXPECT_NEAR(y.at({1, 0}), 1.f, 1e-6);
   EXPECT_NEAR(y.at({2, 0}), 0.5f, 1e-6);
+}
+
+TEST(Ops, SoftmaxRowPrefixMatchesMaskedFullRowBitwise) {
+  // The fused attention kernel runs softmax_row in place over each item's
+  // valid key prefix; the taped path runs it over the padded row with the
+  // suffix masked. Lane order makes both give the same bits, for every
+  // prefix length against every block phase of the suffix.
+  Rng rng(22);
+  const float ninf = -std::numeric_limits<float>::infinity();
+  for (std::int64_t v = 1; v <= 33; ++v) {
+    for (std::int64_t pad = 0; pad <= 9; ++pad) {
+      const std::int64_t n = v + pad;
+      Tensor x = Tensor::randn({n}, rng, 0.f, 3.f);
+      Tensor mask = Tensor::ones({n});
+      for (std::int64_t j = v; j < n; ++j) mask[j] = 0.f;
+      if (v > 5) mask[v / 2] = 0.f;  // a masked key inside the prefix too
+      Tensor full = Tensor::zeros({n});
+      ops::softmax_row(x.data(), mask.data(), n, full.data());
+      Tensor prefix = x.clone();
+      ops::softmax_row(prefix.data(), mask.data(), v, prefix.data());
+      for (std::int64_t j = 0; j < v; ++j)
+        ASSERT_EQ(prefix[j], full[j])
+            << "masked: v=" << v << " pad=" << pad << " j=" << j;
+      for (std::int64_t j = v; j < n; ++j) ASSERT_EQ(full[j], 0.f);
+
+      // An unmasked row whose suffix is -inf reads the same way.
+      Tensor xinf = x.clone();
+      for (std::int64_t j = v; j < n; ++j) xinf[j] = ninf;
+      ops::softmax_row(xinf.data(), nullptr, n, full.data());
+      ops::softmax_row(x.data(), nullptr, v, prefix.data());
+      for (std::int64_t j = 0; j < v; ++j)
+        ASSERT_EQ(prefix[j], full[j])
+            << "-inf suffix: v=" << v << " pad=" << pad << " j=" << j;
+    }
+  }
+}
+
+TEST(Ops, SoftmaxOfTwoMatchesDoubleAcrossExpRange) {
+  // softmax({0, x}) = (1, e^x) / (1 + e^x): every exp argument down to the
+  // edge of the normal range, within 4e-7 relative of double.
+  for (std::int64_t i = 0; i <= 87000; ++i) {
+    const float x = static_cast<float>(i) * -1e-3f;
+    const float in[2] = {0.f, x};
+    float out[2];
+    ops::softmax_row(in, nullptr, 2, out);
+    const double e = std::exp(static_cast<double>(x));
+    const double want[2] = {1.0 / (1.0 + e), e / (1.0 + e)};
+    for (int j = 0; j < 2; ++j)
+      ASSERT_LE(std::fabs(out[j] - want[j]), 4e-7 * want[j])
+          << "x = " << x << " output " << j;
+  }
+}
+
+TEST(Ops, RowKernelsSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Softmax of {0, s}: the exp clamps see NaN, +-inf and +-1e30 arguments.
+  const auto softmax2 = [](float a, float b) {
+    const float in[2] = {a, b};
+    std::vector<float> out(2);
+    ops::softmax_row(in, nullptr, 2, out.data());
+    return out;
+  };
+  EXPECT_EQ(softmax2(0.f, -inf), (std::vector<float>{1.f, 0.f}));
+  EXPECT_EQ(softmax2(0.f, -1e30f), (std::vector<float>{1.f, 0.f}));
+  EXPECT_EQ(softmax2(0.f, 1e30f), (std::vector<float>{0.f, 1.f}));
+  EXPECT_EQ(softmax2(1e30f, -1e30f), (std::vector<float>{1.f, 0.f}));
+  EXPECT_EQ(softmax2(0.f, -100.f), (std::vector<float>{1.f, 0.f}));
+  for (float bad : {nan, inf}) {  // NaN, or inf - inf: the row is NaN
+    const std::vector<float> y = softmax2(0.f, bad);
+    EXPECT_TRUE(std::isnan(y[0]) && std::isnan(y[1])) << bad;
+  }
+  // A masked NaN is just a masked key.
+  const float in[3] = {nan, 0.f, 0.f};
+  const float mask[3] = {0.f, 1.f, 1.f};
+  float out[3];
+  ops::softmax_row(in, mask, 3, out);
+  EXPECT_EQ(out[0], 0.f);
+  EXPECT_EQ(out[1], 0.5f);
+  EXPECT_EQ(out[2], 0.5f);
+
+  // GELU: +inf and large positive inputs pass through, large negative ones
+  // give zero (the exp saturates to +inf), -inf gives NaN as the tanh form
+  // 0.5 * -inf * (1 + tanh(-inf)) does, and NaN stays NaN.
+  const float x[8] = {nan, inf, -inf, 1e30f, -1e30f, 100.f, -100.f, 0.f};
+  float g[8];
+  ops::gelu_row(x, 8, g);
+  EXPECT_TRUE(std::isnan(g[0]));
+  EXPECT_EQ(g[1], inf);
+  EXPECT_TRUE(std::isnan(g[2]));
+  EXPECT_EQ(g[3], 1e30f);
+  EXPECT_EQ(g[4], 0.f);
+  EXPECT_EQ(g[5], 100.f);
+  EXPECT_EQ(g[6], 0.f);
+  EXPECT_EQ(g[7], 0.f);
 }
 
 // -------------------------------------------------------------- reductions
