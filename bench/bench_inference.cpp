@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
   engine.run(images);  // warm-up (untimed)
 
   struct ServerRun {
-    int workers = 0;
+    serve::ServerConfig cfg;      // the configuration measured
     double wall = 0.0;            // best server round
     double img_s = 0.0;
     double serial_img_s = 0.0;    // best serial round of the SAME sweep
@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
     // NOTHING. Granularity 1 admits exactly those.
     scfg.bucket_granularity = 1;
     ServerRun run;
-    run.workers = workers;
+    run.cfg = scfg;
     serve::Server server(model, scfg);
     for (auto& f : server.submit_many(images)) f.get();  // warm-up
     serve::InferenceStats prev = server.stats();
@@ -380,11 +380,17 @@ int main(int argc, char** argv) {
       min_speedup = run.speedup;
     std::printf(
         "async server (%d worker%s): %.2f img/s vs %.2f serial interleaved "
-        "(%.3fx); %lld batches, pad %.3f, %.2f GFLOP/s busy\n",
-        run.workers, run.workers == 1 ? "" : "s", run.img_s,
+        "(%.3fx); %lld batches, pad %.3f, %.2f GFLOP/s busy\n"
+        "  config: max_batch %lld, max_queue %lld, bucket_granularity %lld, "
+        "batch_deadline_ms %.3g\n",
+        run.cfg.num_workers, run.cfg.num_workers == 1 ? "" : "s", run.img_s,
         run.serial_img_s, run.speedup,
         static_cast<long long>(run.pass.batches), run.pass.padding_ratio(),
-        run.pass.model_gflops_per_sec());
+        run.pass.model_gflops_per_sec(),
+        static_cast<long long>(run.cfg.engine.max_batch),
+        static_cast<long long>(run.cfg.max_queue),
+        static_cast<long long>(run.cfg.bucket_granularity),
+        run.cfg.batch_deadline_ms);
     // Scheduler observability over the server's whole lifetime (warm-up
     // included): how the unified pool actually moved the work.
     std::printf(
@@ -586,15 +592,17 @@ int main(int argc, char** argv) {
          << ", \"gflops_per_sec_busy\": " << best->pass.model_gflops_per_sec()
          << ", \"padding_ratio\": " << best->pass.padding_ratio()
          << ", \"precision\": \"" << best->pass.precision << "\""
-         << ", \"num_workers\": " << best->workers
-         << ", \"max_batch\": " << ecfg.max_batch
-         << ", \"bucket_granularity\": " << 1
-         << ", \"batch_deadline_ms\": " << 2.0 << "},\n"
+         << ", \"num_workers\": " << best->cfg.num_workers
+         << ", \"max_batch\": " << best->cfg.engine.max_batch
+         << ", \"max_queue\": " << best->cfg.max_queue
+         << ", \"bucket_granularity\": " << best->cfg.bucket_granularity
+         << ", \"batch_deadline_ms\": " << best->cfg.batch_deadline_ms
+         << "},\n"
          << "  \"server_runs\": [";
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const ServerRun& run = runs[i];
       json << (i ? ",\n    " : "\n    ") << "{\"num_workers\": "
-           << run.workers << ", \"images_per_sec\": " << run.img_s
+           << run.cfg.num_workers << ", \"images_per_sec\": " << run.img_s
            << ", \"serial_images_per_sec\": " << run.serial_img_s
            << ", \"vs_serial_speedup\": " << run.speedup
            << ", \"batches\": " << run.pass.batches

@@ -93,9 +93,8 @@ struct InferenceStats {
   std::uint64_t scheduler_steals = 0;
   std::uint64_t forward_tasks = 0;
   std::uint64_t panel_tasks = 0;
-  /// Effective dynamic batch size distribution: size -> number of batches
-  /// flushed at that size (server aggregate only; adaptive batching shows
-  /// up here as mass moving to larger sizes under load).
+  /// Dynamic batch size distribution: size -> number of batches flushed
+  /// at that size (server aggregate only).
   std::map<std::int64_t, std::int64_t> batch_size_counts;
   /// Content-cache activity (serve/cache.h). On per-run()/per-request
   /// stats these count that call's own lookups; on server aggregates

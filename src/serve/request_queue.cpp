@@ -1,20 +1,45 @@
 #include "serve/request_queue.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/check.h"
 
 namespace apf::serve {
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+// Validates the flush deadline and converts it to the clock's own tick.
+// The upper bound keeps `enqueued + deadline` inside the clock's range.
+Clock::duration checked_deadline(
+    std::chrono::duration<double, std::milli> deadline) {
+  const std::chrono::duration<double, std::milli> max_deadline =
+      Clock::duration::max() / 2;
+  APF_CHECK(deadline.count() >= 0.0 && deadline <= max_deadline,
+            "RequestQueue: deadline must be finite and in [0, "
+                << max_deadline.count() << "] ms, got " << deadline.count()
+                << " ms");
+  return std::chrono::duration_cast<Clock::duration>(deadline);
+}
+
+}  // namespace
+
 RequestQueue::RequestQueue(std::int64_t max_pending,
-                           std::int64_t bucket_granularity)
-    : max_pending_(max_pending), granularity_(bucket_granularity) {
+                           std::int64_t bucket_granularity,
+                           std::int64_t max_batch,
+                           std::chrono::duration<double, std::milli> deadline)
+    : max_pending_(max_pending),
+      granularity_(bucket_granularity),
+      max_batch_(max_batch),
+      deadline_(checked_deadline(deadline)) {
   APF_CHECK(max_pending_ > 0,
             "RequestQueue: max_pending must be positive, got " << max_pending_);
   APF_CHECK(granularity_ > 0,
             "RequestQueue: bucket granularity must be positive, got "
                 << granularity_);
+  APF_CHECK(max_batch_ > 0,
+            "RequestQueue: max_batch must be positive, got " << max_batch_);
 }
 
 std::int64_t RequestQueue::bucket_of(std::int64_t length) const {
@@ -41,9 +66,7 @@ bool RequestQueue::try_push(Request&& r) {
   return true;
 }
 
-std::optional<RequestQueue::BucketKey> RequestQueue::ripe_bucket(
-    std::int64_t max_batch, std::chrono::duration<double> deadline,
-    std::chrono::steady_clock::time_point now) const {
+std::optional<RequestQueue::BucketKey> RequestQueue::ripe_bucket() const {
   // Full bucket: the one whose front (oldest member) arrived first wins,
   // so two perpetually-full buckets cannot starve each other.
   std::optional<BucketKey> full_key;
@@ -51,11 +74,11 @@ std::optional<RequestQueue::BucketKey> RequestQueue::ripe_bucket(
   // Oldest request overall, for the deadline / drain policies.
   std::optional<BucketKey> oldest_key;
   std::uint64_t oldest_id = 0;
-  std::chrono::steady_clock::time_point oldest_at{};
+  Clock::time_point oldest_at{};
   for (const auto& [key, q] : buckets_) {
     if (q.empty()) continue;
     const Request& front = q.front();
-    if (static_cast<std::int64_t>(q.size()) >= max_batch &&
+    if (static_cast<std::int64_t>(q.size()) >= max_batch_ &&
         (!full_key || front.id < full_front)) {
       full_key = key;
       full_front = front.id;
@@ -69,71 +92,23 @@ std::optional<RequestQueue::BucketKey> RequestQueue::ripe_bucket(
   if (full_key) return full_key;
   if (!oldest_key) return std::nullopt;  // nothing pending
   if (closed_) return oldest_key;        // drain ignores the deadline
-  if (now - oldest_at >= deadline) return oldest_key;
+  if (Clock::now() - oldest_at >= deadline_) return oldest_key;
   return std::nullopt;
 }
 
-double RequestQueue::pressure_locked() const {
-  if (pending_ <= 0) return 0.0;
-  if (pending_ >= max_pending_) return 1.0;
-  return static_cast<double>(pending_) / static_cast<double>(max_pending_);
-}
-
-double RequestQueue::load_pressure() const {
-  MutexLock lock(mu_);
-  return pressure_locked();
-}
-
-std::int64_t RequestQueue::effective_max_batch(
-    double pressure, std::int64_t max_batch, std::int64_t adaptive_max_batch) {
-  if (adaptive_max_batch <= max_batch) return max_batch;
-  const double p = std::clamp(pressure, 0.0, 1.0);
-  return max_batch + static_cast<std::int64_t>(
-                         std::llround(p * static_cast<double>(
-                                              adaptive_max_batch - max_batch)));
-}
-
-std::chrono::duration<double> RequestQueue::effective_deadline(
-    double pressure, std::chrono::duration<double> deadline,
-    std::chrono::duration<double> min_deadline) {
-  if (min_deadline >= deadline) return deadline;
-  const double p = std::clamp(pressure, 0.0, 1.0);
-  return deadline + p * (min_deadline - deadline);
-}
-
-std::vector<Request> RequestQueue::pop_batch(
-    std::int64_t max_batch, std::chrono::duration<double> deadline,
-    std::int64_t adaptive_max_batch,
-    std::chrono::duration<double> min_deadline) {
-  APF_CHECK(max_batch > 0,
-            "RequestQueue::pop_batch: max_batch must be positive");
-  const bool adaptive = adaptive_max_batch > max_batch;
-  MutexLock lock(mu_);
-  for (;;) {
-    // Pressure is re-read on every scheduling decision (each wakeup), so
-    // the effective knobs grow under load and relax as the queue drains.
-    const double pressure = adaptive ? pressure_locked() : 0.0;
-    const std::int64_t eff_max =
-        adaptive ? effective_max_batch(pressure, max_batch, adaptive_max_batch)
-                 : max_batch;
-    const std::chrono::duration<double> eff_deadline =
-        adaptive ? effective_deadline(pressure, deadline, min_deadline)
-                 : deadline;
-    const auto now = std::chrono::steady_clock::now();
-    const std::optional<BucketKey> key =
-        ripe_bucket(eff_max, eff_deadline, now);
-    if (key) return take_locked(*key, eff_max);
-    if (closed_ && pending_ == 0) return {};  // drained: worker exit signal
-    wait_for_change(eff_deadline);
+std::vector<Request> RequestQueue::pop_batch() {
+  while (wait_ready()) {
+    std::vector<Request> batch = try_pop_batch();
+    if (!batch.empty()) return batch;  // else a peer won the race
   }
+  return {};  // closed and drained: worker exit signal
 }
 
-void RequestQueue::wait_for_change(
-    std::chrono::duration<double> eff_deadline) {
+void RequestQueue::wait_for_change() {
   if (pending_ > 0 && !closed_) {
     // Part-full buckets: sleep until the oldest request's deadline (a
     // new push or close() wakes us earlier).
-    std::chrono::steady_clock::time_point oldest_at{};
+    Clock::time_point oldest_at{};
     bool have = false;
     for (const auto& [k, q] : buckets_) {
       (void)k;
@@ -142,44 +117,26 @@ void RequestQueue::wait_for_change(
         have = true;
       }
     }
-    ready_.wait_until(
-        mu_,
-        oldest_at + std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(eff_deadline));
+    ready_.wait_until(mu_, oldest_at + deadline_);
   } else {
     ready_.wait(mu_);
   }
 }
 
-bool RequestQueue::wait_ready(std::int64_t max_batch,
-                              std::chrono::duration<double> deadline,
-                              std::int64_t adaptive_max_batch,
-                              std::chrono::duration<double> min_deadline) {
-  APF_CHECK(max_batch > 0,
-            "RequestQueue::wait_ready: max_batch must be positive");
-  const bool adaptive = adaptive_max_batch > max_batch;
+bool RequestQueue::wait_ready() {
   MutexLock lock(mu_);
   for (;;) {
-    const double pressure = adaptive ? pressure_locked() : 0.0;
-    const std::int64_t eff_max =
-        adaptive ? effective_max_batch(pressure, max_batch, adaptive_max_batch)
-                 : max_batch;
-    const std::chrono::duration<double> eff_deadline =
-        adaptive ? effective_deadline(pressure, deadline, min_deadline)
-                 : deadline;
-    if (ripe_bucket(eff_max, eff_deadline, std::chrono::steady_clock::now()))
-      return true;
+    if (ripe_bucket()) return true;
     if (closed_ && pending_ == 0) return false;
-    wait_for_change(eff_deadline);
+    wait_for_change();
   }
 }
 
-std::vector<Request> RequestQueue::take_locked(const BucketKey& key,
-                                               std::int64_t eff_max) {
+std::vector<Request> RequestQueue::take_locked(const BucketKey& key) {
   std::deque<Request>& q = buckets_[key];
   std::vector<Request> batch;
   const std::int64_t n =
-      std::min<std::int64_t>(eff_max, static_cast<std::int64_t>(q.size()));
+      std::min<std::int64_t>(max_batch_, static_cast<std::int64_t>(q.size()));
   batch.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
     batch.push_back(std::move(q.front()));
@@ -193,25 +150,11 @@ std::vector<Request> RequestQueue::take_locked(const BucketKey& key,
   return batch;
 }
 
-std::vector<Request> RequestQueue::try_pop_batch(
-    std::int64_t max_batch, std::chrono::duration<double> deadline,
-    std::int64_t adaptive_max_batch,
-    std::chrono::duration<double> min_deadline) {
-  APF_CHECK(max_batch > 0,
-            "RequestQueue::try_pop_batch: max_batch must be positive");
-  const bool adaptive = adaptive_max_batch > max_batch;
+std::vector<Request> RequestQueue::try_pop_batch() {
   MutexLock lock(mu_);
-  const double pressure = adaptive ? pressure_locked() : 0.0;
-  const std::int64_t eff_max =
-      adaptive ? effective_max_batch(pressure, max_batch, adaptive_max_batch)
-               : max_batch;
-  const std::chrono::duration<double> eff_deadline =
-      adaptive ? effective_deadline(pressure, deadline, min_deadline)
-               : deadline;
-  const std::optional<BucketKey> key =
-      ripe_bucket(eff_max, eff_deadline, std::chrono::steady_clock::now());
+  const std::optional<BucketKey> key = ripe_bucket();
   if (!key) return {};
-  return take_locked(*key, eff_max);
+  return take_locked(*key);
 }
 
 void RequestQueue::close() {

@@ -5,13 +5,13 @@
 // Requests arrive already patched (admit() runs on the submitting thread)
 // so the queue can group them by sequence length: each request lands in
 // the bucket of its length rounded UP to a multiple of the configured
-// granularity, and pop_batch() hands a worker up to max_batch requests
-// from a single bucket. Batching same-bucket requests means a batch is
-// padded only to its own longest member instead of the longest request in
+// granularity, and a pop hands a worker up to max_batch requests from a
+// single bucket. Batching same-bucket requests means a batch is padded
+// only to its own longest member instead of the longest request in
 // flight, which is where dynamic batching beats first-come order on the
 // ragged sequences adaptive patching produces.
 //
-// Scheduling policy (pop_batch):
+// Scheduling policy, fixed at construction by max_batch and deadline:
 //   1. a bucket holding >= max_batch requests flushes immediately (the
 //      bucket whose FRONT request is oldest wins when several are full);
 //   2. otherwise, once the oldest pending request has waited `deadline`,
@@ -19,15 +19,6 @@
 //   3. after close(), remaining requests drain immediately (oldest bucket
 //      first, deadline ignored); pop_batch returns empty only when the
 //      queue is closed AND drained, which is the workers' exit signal.
-//
-// Load-adaptive batching (opt-in, per pop_batch call): when an
-// adaptive_max_batch ceiling is supplied, the EFFECTIVE max_batch and
-// flush deadline follow queue pressure (pending / max_pending) — an empty
-// queue uses the base knobs (small batches, patient deadline: low
-// latency), a full queue uses the ceiling and the floor deadline (big
-// batches, eager flush: high throughput). Pressure is re-read on every
-// scheduling decision, so both knobs shrink back automatically as the
-// queue drains.
 //
 // push() blocks while the queue holds max_pending requests (backpressure
 // toward the submitting clients) and fails only after close().
@@ -66,7 +57,14 @@ class RequestQueue {
   /// max_pending: capacity before push() blocks (> 0).
   /// bucket_granularity: lengths are grouped by ceil(len / g) * g (> 0);
   /// 1 buckets exact lengths, a large value degrades to first-come order.
-  RequestQueue(std::int64_t max_pending, std::int64_t bucket_granularity);
+  /// max_batch: most requests one pop hands out (> 0); a bucket holding
+  /// this many flushes at once.
+  /// deadline: how long the oldest request waits before its part-full
+  /// bucket flushes. Must be finite, >= 0 and at most half of
+  /// steady_clock's range, so a wait until it never overflows the clock.
+  RequestQueue(std::int64_t max_pending, std::int64_t bucket_granularity,
+               std::int64_t max_batch,
+               std::chrono::duration<double, std::milli> deadline);
 
   /// Blocks while the queue is full; returns false (leaving r valid) only
   /// when the queue was closed before space freed up.
@@ -77,59 +75,22 @@ class RequestQueue {
 
   /// Pops the next batch per the scheduling policy above. Blocks until a
   /// batch is ready; an empty result means closed-and-drained.
-  ///
-  /// adaptive_max_batch > max_batch turns on load-adaptive batching: the
-  /// effective per-pop max batch grows from max_batch toward that ceiling
-  /// and the effective deadline shrinks from `deadline` toward
-  /// `min_deadline`, both linearly in the current load_pressure().
-  /// adaptive_max_batch == 0 (default) keeps the base knobs untouched.
-  std::vector<Request> pop_batch(
-      std::int64_t max_batch, std::chrono::duration<double> deadline,
-      std::int64_t adaptive_max_batch = 0,
-      std::chrono::duration<double> min_deadline =
-          std::chrono::duration<double>::zero());
+  std::vector<Request> pop_batch();
 
-  /// Blocks until pop_batch would return without sleeping: true once a
-  /// bucket is ripe (full, past its pressure-adjusted deadline, or
-  /// closed-queue drain), false once the queue is closed AND drained.
-  /// Does NOT pop — lets a worker delay claiming requests until it can
-  /// actually run them (e.g. until it holds an execution permit), so no
-  /// batch sits parked behind a busy peer. The eventual try_pop_batch may
-  /// still come back empty when another consumer won the race.
-  bool wait_ready(std::int64_t max_batch,
-                  std::chrono::duration<double> deadline,
-                  std::int64_t adaptive_max_batch = 0,
-                  std::chrono::duration<double> min_deadline =
-                      std::chrono::duration<double>::zero());
+  /// Blocks until a bucket is ripe (full, past the deadline, or a
+  /// closed-queue drain) and returns true; returns false once the queue is
+  /// closed AND drained. Does NOT pop — lets a worker delay claiming
+  /// requests until it can actually run them (e.g. until it holds an
+  /// execution permit), so no batch sits parked behind a busy peer. The
+  /// eventual try_pop_batch may still come back empty when another
+  /// consumer won the race.
+  bool wait_ready();
 
-  /// Non-waiting pop_batch: returns exactly what pop_batch would pop
-  /// without sleeping — a full bucket, a bucket whose oldest member has
-  /// already outlived the (pressure-adjusted) deadline, or a closed-queue
-  /// drain — and an empty vector when nothing is ready RIGHT NOW. Lets a
-  /// worker that already holds an execution permit keep draining
-  /// back-to-back batches (run-to-completion) without parking in a wait.
-  std::vector<Request> try_pop_batch(
-      std::int64_t max_batch, std::chrono::duration<double> deadline,
-      std::int64_t adaptive_max_batch = 0,
-      std::chrono::duration<double> min_deadline =
-          std::chrono::duration<double>::zero());
-
-  /// Current queue fill fraction in [0, 1]: pending / max_pending.
-  double load_pressure() const;
-
-  /// The max batch a pop at `pressure` would use: max_batch at pressure
-  /// 0, adaptive_max_batch at pressure 1, linear between; the base
-  /// max_batch whenever the ceiling does not exceed it.
-  static std::int64_t effective_max_batch(double pressure,
-                                          std::int64_t max_batch,
-                                          std::int64_t adaptive_max_batch);
-
-  /// The flush deadline a pop at `pressure` would use: `deadline` at
-  /// pressure 0, `min_deadline` at pressure 1, linear between; `deadline`
-  /// whenever the floor is not below it.
-  static std::chrono::duration<double> effective_deadline(
-      double pressure, std::chrono::duration<double> deadline,
-      std::chrono::duration<double> min_deadline);
+  /// Pops the ripe bucket's batch if one is ready RIGHT NOW, else returns
+  /// an empty vector without waiting. Lets a worker that already holds an
+  /// execution permit keep draining back-to-back batches
+  /// (run-to-completion) without parking in a wait.
+  std::vector<Request> try_pop_batch();
 
   /// Stops accepting pushes and lets pop_batch drain what is left
   /// immediately. Idempotent; wakes every blocked push/pop.
@@ -153,25 +114,19 @@ class RequestQueue {
   }
 
   // Returns the bucket to flush now, or nullopt when none is ready.
-  // "now" decides deadline expiry; full buckets and closed-queue drain
-  // ignore it.
-  std::optional<BucketKey> ripe_bucket(
-      std::int64_t max_batch, std::chrono::duration<double> deadline,
-      std::chrono::steady_clock::time_point now) const APF_REQUIRES(mu_);
+  std::optional<BucketKey> ripe_bucket() const APF_REQUIRES(mu_);
 
-  double pressure_locked() const APF_REQUIRES(mu_);
-
-  // Moves up to eff_max requests out of `key`'s bucket.
-  std::vector<Request> take_locked(const BucketKey& key, std::int64_t eff_max)
-      APF_REQUIRES(mu_);
+  // Moves up to max_batch_ requests out of `key`'s bucket.
+  std::vector<Request> take_locked(const BucketKey& key) APF_REQUIRES(mu_);
 
   // One scheduling sleep: until the oldest part-full bucket's deadline
   // when something is pending, else until the next push/close.
-  void wait_for_change(std::chrono::duration<double> eff_deadline)
-      APF_REQUIRES(mu_);
+  void wait_for_change() APF_REQUIRES(mu_);
 
   const std::int64_t max_pending_;
   const std::int64_t granularity_;
+  const std::int64_t max_batch_;
+  const std::chrono::steady_clock::duration deadline_;
   mutable Mutex mu_;
   CondVar not_full_;
   CondVar ready_;

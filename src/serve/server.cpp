@@ -21,32 +21,19 @@ double seconds_since(Clock::time_point t0) {
 Server::Server(models::TokenSegModel& model, ServerConfig cfg)
     : model_(model),
       cfg_(cfg),
-      queue_(cfg.max_queue, cfg.bucket_granularity),
+      queue_(cfg.max_queue, cfg.bucket_granularity, cfg.engine.max_batch,
+             std::chrono::duration<double, std::milli>(cfg.batch_deadline_ms)),
       started_(Clock::now()) {
   APF_CHECK(cfg_.num_workers > 0,
             "ServerConfig: num_workers must be positive, got "
                 << cfg_.num_workers);
-  APF_CHECK(cfg_.batch_deadline_ms >= 0.0,
-            "ServerConfig: batch_deadline_ms must be >= 0, got "
-                << cfg_.batch_deadline_ms);
-  APF_CHECK(cfg_.adaptive_max_batch == 0 ||
-                cfg_.adaptive_max_batch >= cfg_.engine.max_batch,
-            "ServerConfig: adaptive_max_batch must be 0 (off) or >= "
-            "engine.max_batch ("
-                << cfg_.engine.max_batch << "), got "
-                << cfg_.adaptive_max_batch);
-  APF_CHECK(cfg_.adaptive_min_deadline_ms >= 0.0 &&
-                cfg_.adaptive_min_deadline_ms <= cfg_.batch_deadline_ms,
-            "ServerConfig: adaptive_min_deadline_ms must be in [0, "
-            "batch_deadline_ms = "
-                << cfg_.batch_deadline_ms << "], got "
-                << cfg_.adaptive_min_deadline_ms);
   APF_CHECK(cfg_.cache.capacity_bytes >= 0,
             "ServerConfig: cache.capacity_bytes must be >= 0, got "
                 << cfg_.cache.capacity_bytes);
-  // max_queue / bucket_granularity are validated by the RequestQueue; the
-  // EngineConfig by the engines below; the rest of the CacheConfig by the
-  // InferenceCache constructor.
+  // max_queue, bucket_granularity, engine.max_batch and batch_deadline_ms
+  // are validated by the RequestQueue; the rest of the EngineConfig by the
+  // engines below; the rest of the CacheConfig by the InferenceCache
+  // constructor.
   engines_.reserve(static_cast<std::size_t>(cfg_.num_workers));
   for (int i = 0; i < cfg_.num_workers; ++i)
     engines_.push_back(std::make_unique<InferenceEngine>(model_, cfg_.engine));
@@ -133,19 +120,13 @@ std::vector<std::future<InferenceResult>> Server::submit_many(
 
 void Server::worker_main(std::size_t worker_index) {
   InferenceEngine& engine = *engines_[worker_index];
-  const auto deadline =
-      std::chrono::duration<double>(cfg_.batch_deadline_ms / 1e3);
-  const auto min_deadline =
-      std::chrono::duration<double>(cfg_.adaptive_min_deadline_ms / 1e3);
   for (;;) {
     // Wait for poppable work WITHOUT claiming it: requests are only
     // popped inside the task below, once this worker actually holds an
     // execution permit. A worker parked behind a busy peer therefore
     // never sits on a claimed batch (which would force a cache-cold
     // worker handoff the moment it finally ran).
-    if (!queue_.wait_ready(cfg_.engine.max_batch, deadline,
-                           cfg_.adaptive_max_batch, min_deadline))
-      return;  // closed and drained
+    if (!queue_.wait_ready()) return;  // closed and drained
     // The forward work is an inter-op task on the shared work-stealing
     // scheduler: it may run right here (wait() participates) or on a pool
     // thread that stole it, and the gemm panels it spawns are intra-op
@@ -165,9 +146,7 @@ void Server::worker_main(std::size_t worker_index) {
         1,
         [&](std::int64_t) {
           for (;;) {
-            std::vector<Request> batch = queue_.try_pop_batch(
-                cfg_.engine.max_batch, deadline, cfg_.adaptive_max_batch,
-                min_deadline);
+            std::vector<Request> batch = queue_.try_pop_batch();
             if (batch.empty()) return;
             process_batch(engine, std::move(batch));
           }

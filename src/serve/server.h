@@ -24,13 +24,11 @@
 // intra-op kPanel tasks on the SAME pool, so batch-level and panel-level
 // parallelism compose — a lone batch fans its panels across every idle
 // thread, concurrent batches naturally share — instead of the static
-// per-worker ThreadLimitGuard partition PR 5 used. Under queue pressure,
-// load-adaptive batching (adaptive_max_batch / adaptive_min_deadline_ms)
-// grows batches and flushes them sooner. Results are bitwise identical to the
-// serial InferenceEngine::run() path regardless of arrival order, batch
-// composition, or bucket padding: the fused masked attention, mask-aware
-// dense layers, and per-item scatter compute every image from its own
-// valid tokens only.
+// per-worker ThreadLimitGuard partition PR 5 used. Results are bitwise
+// identical to the serial InferenceEngine::run() path regardless of
+// arrival order, batch composition, or bucket padding: the fused masked
+// attention, mask-aware dense layers, and per-item scatter compute every
+// image from its own valid tokens only.
 
 #include <atomic>
 #include <chrono>
@@ -58,7 +56,8 @@ struct ServerConfig {
   std::int64_t max_queue = 64;
   /// A part-full bucket flushes once its oldest request has waited this
   /// long — the latency bound under light load. 0 disables coalescing
-  /// waits entirely (every pop takes whatever is queued).
+  /// waits entirely (every pop takes whatever is queued). Must be finite,
+  /// >= 0 and at most half of steady_clock's range (about 146 years).
   double batch_deadline_ms = 2.0;
   /// Worker threads, each owning an engine view over the shared model.
   int num_workers = 2;
@@ -66,15 +65,6 @@ struct ServerConfig {
   /// requests only batch with same-bucket peers. 1 batches exact lengths
   /// only; a value >= the token budget degrades to first-come order.
   std::int64_t bucket_granularity = 32;
-  /// Load-adaptive batching ceiling (0 = off). When set (must then be
-  /// >= engine.max_batch), the effective per-pop max batch grows linearly
-  /// from engine.max_batch at an empty queue to this value at a full one,
-  /// and the flush deadline shrinks from batch_deadline_ms toward
-  /// adaptive_min_deadline_ms; both relax back as the queue drains.
-  std::int64_t adaptive_max_batch = 0;
-  /// Deadline floor (ms) under full-queue pressure; only meaningful with
-  /// adaptive_max_batch > 0. Must be in [0, batch_deadline_ms].
-  double adaptive_min_deadline_ms = 0.0;
   /// Content-addressed cache (serve/cache.h): capacity_bytes > 0 turns it
   /// on, and one shared InferenceCache then backs every worker engine and
   /// the client-side admit stage. Exact duplicate submissions are served
