@@ -36,11 +36,9 @@
 #include "serve/server.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_backend.h"
-#include "tensor/quantize.h"
 #include "core/rng.h"
 #include "tensor/tensor.h"
 #include "core/thread_pool.h"
-#include "train/metrics.h"
 
 using namespace apf;
 
@@ -464,82 +462,6 @@ int main(int argc, char** argv) {
         cache_warm_vs_cold, static_cast<double>(warm.cache_bytes) / 1024.0);
   }
 
-  // --- Int8 quantized serving: the same serial engine with the precision
-  // knob set to int8 (dense layers through the u8·s8 maddubs kernel;
-  // attention/softmax/layernorm stay fp32), interleaved round by round
-  // against the fp32 serial engine under the same drift policy as the
-  // server sweep. Accuracy is scored against the synthetic ground-truth
-  // masks: the mean Dice/IoU delta vs fp32 is the quality cost of the
-  // speedup (ctest pins the same contract in test_quantize).
-  const bool int8_on = int8_available();
-  double int8_img_s = 0.0, int8_speedup = 0.0, int8_gops_wall = 0.0;
-  double dice_fp32 = 0.0, dice_int8 = 0.0, iou_fp32 = 0.0, iou_int8 = 0.0;
-  if (int8_on) {
-    serve::EngineConfig icfg = ecfg;
-    icfg.precision = Precision::kInt8;
-    serve::InferenceEngine int8_engine(model, icfg);
-    int8_engine.run(images);  // warm-up (packs every layer once)
-    serve::InferenceResult int8_res;
-    double int8_best_wall = 0.0, fp32_best_wall = 0.0;
-    std::vector<double> ratios;
-    for (int rep = 0; rep < kRounds; ++rep) {
-      bench::Stopwatch fsw;
-      serve::InferenceResult fr = engine.run(images);
-      const double fwall = fsw.seconds();
-      if (fp32_best_wall == 0.0 || fwall < fp32_best_wall)
-        fp32_best_wall = fwall;
-      bench::Stopwatch isw;
-      serve::InferenceResult ir = int8_engine.run(images);
-      const double iwall = isw.seconds();
-      if (iwall > 0.0) ratios.push_back(fwall / iwall);
-      if (int8_best_wall == 0.0 || iwall < int8_best_wall) {
-        int8_best_wall = iwall;
-        int8_res = std::move(ir);
-      }
-    }
-    int8_img_s = int8_best_wall > 0.0
-                     ? static_cast<double>(images.size()) / int8_best_wall
-                     : 0.0;
-    int8_gops_wall = int8_best_wall > 0.0
-                         ? int8_res.stats.model_flops / int8_best_wall / 1e9
-                         : 0.0;
-    std::sort(ratios.begin(), ratios.end());
-    int8_speedup = ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
-
-    // Quality vs ground truth, per image, on the best rounds' logits.
-    const std::int64_t px = z * z;
-    Tensor lf = Tensor::zeros({px}), li = Tensor::zeros({px});
-    Tensor truth = Tensor::zeros({px});
-    for (std::size_t i = 0; i < images.size(); ++i) {
-      const img::Image& mask = gen.sample(static_cast<std::int64_t>(i)).mask;
-      std::copy(mask.data.begin(), mask.data.end(), truth.data());
-      std::copy(serial.logits.data() + static_cast<std::int64_t>(i) * px,
-                serial.logits.data() + static_cast<std::int64_t>(i + 1) * px,
-                lf.data());
-      std::copy(int8_res.logits.data() + static_cast<std::int64_t>(i) * px,
-                int8_res.logits.data() + static_cast<std::int64_t>(i + 1) * px,
-                li.data());
-      dice_fp32 += train::dice_binary(lf, truth);
-      dice_int8 += train::dice_binary(li, truth);
-      iou_fp32 += train::iou_binary(lf, truth);
-      iou_int8 += train::iou_binary(li, truth);
-    }
-    const double n = static_cast<double>(images.size());
-    dice_fp32 /= n;
-    dice_int8 /= n;
-    iou_fp32 /= n;
-    iou_int8 /= n;
-    std::printf(
-        "int8 serial engine: %.2f img/s (%.3fx vs fp32 serial interleaved), "
-        "%.2f GOP/s wall\n"
-        "int8 quality: dice %.4f vs fp32 %.4f (delta %+.4f), iou %.4f vs "
-        "%.4f (delta %+.4f)\n",
-        int8_img_s, int8_speedup, int8_gops_wall, dice_int8, dice_fp32,
-        dice_int8 - dice_fp32, iou_int8, iou_fp32, iou_int8 - iou_fp32);
-  } else {
-    std::printf("int8 serving: backend unavailable on this host (fp32 only)\n");
-  }
-
   // The best-throughput configuration is the headline "server" entry the
   // trajectory diff gates on; the full sweep rides along under
   // "server_runs". server_vs_serial_speedup is the MIN ratio over worker
@@ -575,23 +497,13 @@ int main(int argc, char** argv) {
          << serial.stats.images_per_sec()
          << ", \"gflops_per_sec_wall\": " << serial_gflops_wall
          << ", \"gflops_per_sec_busy\": " << serial_gflops_busy
-         << ", \"precision\": \"" << serial.stats.precision << "\""
          << ", \"padding_ratio\": " << serial.stats.padding_ratio() << "},\n"
-         << "  \"int8\": {\"available\": " << (int8_on ? "true" : "false")
-         << ", \"images_per_sec\": " << int8_img_s
-         << ", \"speedup_vs_fp32_serial\": " << int8_speedup
-         << ", \"gops_per_sec_wall\": " << int8_gops_wall
-         << ", \"dice_fp32\": " << dice_fp32
-         << ", \"dice_int8\": " << dice_int8
-         << ", \"dice_delta\": " << (dice_int8 - dice_fp32)
-         << ", \"iou_delta\": " << (iou_int8 - iou_fp32) << "},\n"
          << "  \"server\": {\"images_per_sec\": " << best->img_s
          << ", \"gflops_per_sec_wall\": "
          << (best->wall > 0.0 ? best->pass.model_flops / best->wall / 1e9
                               : 0.0)
          << ", \"gflops_per_sec_busy\": " << best->pass.model_gflops_per_sec()
          << ", \"padding_ratio\": " << best->pass.padding_ratio()
-         << ", \"precision\": \"" << best->pass.precision << "\""
          << ", \"num_workers\": " << best->cfg.num_workers
          << ", \"max_batch\": " << best->cfg.engine.max_batch
          << ", \"max_queue\": " << best->cfg.max_queue

@@ -66,7 +66,6 @@ BACKEND_FACTORY_RE = re.compile(r"\bdetail::(\w+)_gemm_backend\s*\(")
 ISA_GATED_TUS = frozenset({
     "src/tensor/gemm_avx2.cpp",
     "src/tensor/gemm_fma.cpp",
-    "src/tensor/gemm_int8.cpp",
 })
 
 

@@ -49,55 +49,13 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
   if (bias) bias_ = add_param("bias", Tensor::zeros({out_}));
 }
 
-std::shared_ptr<const Int8PackedWeights> Linear::int8_packed() const {
-  MutexLock lock(int8_mu_);
-  if (int8_cache_ == nullptr) {
-    int8_cache_ = std::make_shared<const Int8PackedWeights>(
-        int8_prepack_linear(weight_.val().data(), out_, in_));
-  }
-  return int8_cache_;
-}
-
 Var Linear::forward(const Var& x, const Tensor* key_mask) const {
   const Shape& s = x.shape();
   APF_CHECK(s.size() >= 2 && s.back() == in_,
             "Linear: input " << x.val().str() << " vs in_features " << in_);
-  if (ag::grad_enabled()) {
-    // The optimizer may step weight_ after this forward; drop any stale
-    // quantized pack so the next int8 forward re-packs the new weights.
-    MutexLock lock(int8_mu_);
-    int8_cache_.reset();
-  }
   if (mask_rows_applicable(s, key_mask)) {
     const std::int64_t b = s[0], l = s[1];
     const std::vector<std::int64_t> n_eff = valid_prefix_lengths(*key_mask);
-    const bool use_int8 =
-        active_precision() == Precision::kInt8 && int8_available();
-    if (use_int8) {
-      // Quantized route: per item, the valid prefix rows run through the
-      // int8 kernel with the per-layer weight pack (bias fused into the
-      // dequantizing epilogue); padded suffix rows stay zero. Unlike the
-      // fp32 fast path below this fires even when every row is valid —
-      // the whole point is to replace the dense-layer gemm. Per-row
-      // quantization is row-local, so item results are independent of
-      // batch composition, and int8_linear panel-parallelizes each item
-      // on the shared pool just like gemm does.
-      const std::shared_ptr<const Int8PackedWeights> pack = int8_packed();
-      Tensor y({b, l, out_});  // zero-init: padded rows stay zero
-      const float* px = x.val().data();
-      const float* pb = bias_.defined() ? bias_.val().data() : nullptr;
-      float* py = y.data();
-      parallel_for(
-          b,
-          [&](std::int64_t i) {
-            const std::int64_t rows = n_eff[static_cast<std::size_t>(i)];
-            if (rows == 0) return;
-            int8_linear(px + i * l * in_, rows, in_, *pack, pb,
-                        py + i * l * out_, out_);
-          },
-          /*grain=*/num_threads());
-      return Var::constant(std::move(y));
-    }
     if (total_rows(n_eff) < b * l) {
       // One gemm per item over just its valid prefix; padded suffix rows
       // stay zero. Valid rows are bitwise identical to the full [B*L]
@@ -214,12 +172,7 @@ Var Mlp::forward(const Var& x, const Tensor* key_mask) const {
   if (mask_rows_applicable(x.shape(), key_mask)) {
     const std::int64_t b = x.size(0), l = x.size(1);
     const std::vector<std::int64_t> n_eff = valid_prefix_lengths(*key_mask);
-    // Under int8 the mask path runs even with every row valid, so both
-    // Linears route through the quantized kernel (the GELU between them
-    // stays fp32 and skips nothing in that case).
-    const bool use_int8 =
-        active_precision() == Precision::kInt8 && int8_available();
-    if (use_int8 || total_rows(n_eff) < b * l) {
+    if (total_rows(n_eff) < b * l) {
       Var h = fc1_.forward(x, key_mask);
       // GELU on the valid prefix only (the row kernel ops::gelu runs, so
       // valid rows match the full elementwise pass bitwise).

@@ -11,24 +11,12 @@
 // row subset computationally indistinguishable from the full pass. Padding
 // never leaks downstream: attention prunes padded queries/keys, and the
 // scatter / pooling stages drop invalid tokens.
-//
-// Quantized inference: when the calling thread's active_precision() is
-// int8 (tensor/quantize.h; installed per-forward by serve::InferenceEngine)
-// and the int8 kernel is available, the grad-free mask path of Linear —
-// and, through it, Mlp — routes each item's valid rows through the
-// quantized int8_linear kernel instead of fp32 gemm. Weights are quantized
-// and packed lazily on first use and cached on the module; a grad-enabled
-// forward invalidates the cache (the optimizer may have stepped the
-// weights). LayerNorm, attention scores and softmax always stay fp32.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "core/thread_annotations.h"
 #include "nn/module.h"
 #include "core/rng.h"
-#include "tensor/quantize.h"
 
 namespace apf::nn {
 
@@ -54,17 +42,9 @@ class Linear : public Module {
   std::int64_t out_features() const { return out_; }
 
  private:
-  /// The lazily-built quantized weight pack (file header). Shared-ptr so a
-  /// forward keeps its pack alive even if a concurrent grad-enabled call
-  /// invalidates the cache mid-flight.
-  std::shared_ptr<const Int8PackedWeights> int8_packed() const;
-
   std::int64_t in_, out_;
   Var weight_;  ///< [out, in]
   Var bias_;    ///< [out] (undefined when bias = false)
-  mutable Mutex int8_mu_;
-  mutable std::shared_ptr<const Int8PackedWeights> int8_cache_
-      APF_GUARDED_BY(int8_mu_);
 };
 
 /// LayerNorm over the last dimension with learned affine.

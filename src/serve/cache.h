@@ -21,8 +21,8 @@
 //   backend_class       = "bitwise-exact" when the active gemm backend
 //                         certifies bitwise_exact() (reference and avx2
 //                         are mutually bitwise-identical, so they SHARE
-//                         entries), else the backend's name (fma/int8
-//                         are tolerance-grade and must not cross-hit).
+//                         entries), else the backend's name (fma is
+//                         tolerance-grade and must not cross-hit).
 //
 // Bitwise contract: a hit returns output bitwise identical to the cold
 // path. This is safe because the engine's forward computes each image

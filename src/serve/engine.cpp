@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <iterator>
 #include <optional>
 #include <utility>
@@ -51,17 +50,6 @@ InferenceEngine::InferenceEngine(models::TokenSegModel& model,
             "EngineConfig: patcher seq_len must be >= 0 (0 = variable "
             "length), got "
                 << cfg_.patcher.seq_len);
-  // Resolve the forward precision once: explicit config beats the
-  // APF_PRECISION environment; int8 without the kernel (binary built
-  // without AVX2 support, or an older CPU) downgrades to fp32 loudly
-  // rather than failing mid-forward.
-  precision_ = cfg_.precision ? *cfg_.precision : precision_from_env();
-  if (precision_ == Precision::kInt8 && !int8_available()) {
-    std::fprintf(stderr,
-                 "[apf::serve] int8 precision requested but the quantized "
-                 "kernel is unavailable on this host; serving fp32\n");
-    precision_ = Precision::kFp32;
-  }
 }
 
 void InferenceEngine::validate_image(const img::Image& image,
@@ -127,7 +115,6 @@ void InferenceStats::add_request(const InferenceStats& request) {
   queue_seconds += request.queue_seconds;
   model_flops += request.model_flops;
   gemm_backend = request.gemm_backend;
-  precision = request.precision;
 }
 
 void InferenceEngine::patch_into(const img::Image& image,
@@ -179,7 +166,7 @@ core::Digest128 InferenceEngine::result_key(
   h.update_digest(image_key);
   // Backend bitwise class: reference and avx2 certify bitwise_exact()
   // and are bitwise-identical to each other, so they share entries under
-  // one label; tolerance-grade backends (fma, int8) key by name so their
+  // one label; the tolerance-grade fma backend keys by name so its
   // numerically different logits never serve a bitwise-exact request.
   const GemmBackend& backend = active_gemm_backend();
   if (backend.bitwise_exact()) {
@@ -187,9 +174,6 @@ core::Digest128 InferenceEngine::result_key(
   } else {
     h.update_str(backend.name());
   }
-  // Quantized forwards produce different (tolerance-grade) logits, so
-  // int8 entries must never serve an fp32 request or vice versa.
-  h.update_str(precision_name(precision_));
   return h.digest();
 }
 
@@ -240,9 +224,6 @@ Tensor InferenceEngine::forward(const core::TokenBatch& batch) {
   // so they are deep-copied to heap ownership first (arena.h escape rule)
   // — the pause guard routes that clone back to the heap.
   ArenaScope arena;
-  // Route the grad-free dense layers through the resolved precision for
-  // exactly this model call (nn/layers.h consults the thread-local knob).
-  PrecisionGuard precision(precision_);
   Var logits = model_.forward(batch, rng_);  // [B, C, Z, Z]
   APF_CHECK(logits.val().ndim() == 4 && logits.size(0) == batch.batch(),
             "InferenceEngine: model returned " << logits.val().str()
@@ -310,7 +291,6 @@ std::optional<InferenceResult> InferenceEngine::admit(
       s.tokens = hit->valid_tokens;  // no new compute: model_flops stays 0
       s.result_cache_hits = 1;
       s.gemm_backend = active_gemm_backend().name();
-      s.precision = precision_name(precision_);
       s.total_seconds = seconds_since(t0);
       return out;
     }
@@ -355,7 +335,6 @@ std::vector<InferenceResult> InferenceEngine::complete(
     s.patch_seconds = item.patch_seconds;
     s.forward_seconds = forward_seconds;
     s.gemm_backend = backend;
-    s.precision = precision_name(precision_);
     // Delivered encoder compute: the serving path skips padding
     // everywhere (fused attention + mask-aware dense layers), so each
     // image costs its VALID token count, not the padded batch length.

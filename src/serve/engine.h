@@ -39,7 +39,15 @@
 #include "img/image.h"
 #include "models/segmodel.h"
 #include "serve/cache.h"
-#include "tensor/quantize.h"
+
+namespace apf {
+
+/// The forward's numeric precision. fp32 is the only one: the enum and
+/// EngineConfig::precision remain so callers that set them
+/// (perfbench/servebench.cpp) still compile. Nothing reads either.
+enum class Precision { kFp32 };
+
+}  // namespace apf
 
 namespace apf::serve {
 
@@ -53,12 +61,7 @@ struct EngineConfig {
                                 ///< seq_len > 0 gives fixed-length batches
   std::int64_t max_batch = 8;   ///< images per model call (chunked above)
   float mask_threshold = 0.5f;  ///< binary: P(foreground) cutoff for masks
-  /// Numeric precision of the grad-free dense layers (tensor/quantize.h).
-  /// nullopt resolves from the APF_PRECISION environment variable (fp32
-  /// when unset). int8 requests on hosts without the quantized kernel
-  /// warn on stderr and downgrade to fp32 at construction; the resolved
-  /// value is InferenceEngine::precision().
-  std::optional<Precision> precision;
+  Precision precision = Precision::kFp32;  ///< unread; see Precision
 };
 
 /// Throughput accounting: per run() call, per server request, or
@@ -112,8 +115,6 @@ struct InferenceStats {
   double total_seconds = 0.0;
   /// Active gemm backend name (tensor/gemm_backend.h) during the forward.
   std::string gemm_backend;
-  /// Resolved engine precision ("fp32" / "int8") during the forward.
-  std::string precision;
   /// Analytical encoder FLOPs actually delivered: the sum over images of
   /// dist::vit_flops_per_image at each image's VALID token count (the
   /// fused attention + mask-aware dense layers skip padding, so padded
@@ -142,7 +143,7 @@ struct InferenceStats {
                        : 0.0;
   }
   /// Folds one request's stats into this total: sums its per-request
-  /// counters and patch/queue seconds, takes its backend and precision.
+  /// counters and patch/queue seconds, takes its backend.
   /// Per-batch fields (batches, forward_seconds, batch_size_counts) and
   /// the wall-clock total_seconds are the caller's.
   void add_request(const InferenceStats& request);
@@ -263,10 +264,6 @@ class InferenceEngine {
 
   const EngineConfig& config() const { return cfg_; }
 
-  /// The resolved forward precision: the config's request (or the
-  /// APF_PRECISION environment) after the availability downgrade.
-  Precision precision() const { return precision_; }
-
   // ----------------------------------------------------------- caching
 
   /// Attaches a content-addressed cache (serve/cache.h); nullptr
@@ -286,13 +283,12 @@ class InferenceEngine {
   /// computing item.image_key first if it is unset.
   void patch_into(const img::Image& image, PatchedImage& item) const;
 
-  /// Result-tier key: engine fingerprint, image key, gemm backend class
-  /// and precision.
+  /// Result-tier key: engine fingerprint, image key and gemm backend
+  /// class.
   core::Digest128 result_key(const core::Digest128& image_key) const;
 
   models::TokenSegModel& model_;
   EngineConfig cfg_;
-  Precision precision_ = Precision::kFp32;  ///< resolved at construction
   core::AdaptivePatcher patcher_;
   Rng rng_;  ///< consumed only by dropout, which eval mode disables
   std::shared_ptr<InferenceCache> cache_;  ///< may be shared across engines

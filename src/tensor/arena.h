@@ -22,10 +22,9 @@
 //    + clone for the escaping logits.
 //  * Each thread owns its own arena (no locks, no sharing); a scope on an
 //    engine/server thread covers exactly that thread's forward. Pool
-//    workers almost never allocate tensors — the one exception is the
-//    int8 path's quantization scratch (tensor/quantize.h), which lands on
-//    a worker's own arena when a scope is open there and plain heap
-//    otherwise; either way it dies inside the call that made it.
+//    workers almost never allocate tensors; one that does lands on the
+//    worker's own arena when a scope is open there and plain heap
+//    otherwise.
 //
 // Thread-safety-analysis audit (core/thread_annotations.h): this file is
 // intentionally free of APF_GUARDED_BY — there is no mutex here to guard

@@ -4,8 +4,8 @@
 //
 // apf::gemm() is the stable entry point; the kernel behind it is the active
 // apf::GemmBackend (tensor/gemm_backend.h): a cache-blocked reference
-// kernel, or an AVX2 (bitwise-exact), FMA or int8 kernel (each when
-// compiled in and the CPU supports it).
+// kernel, or an AVX2 (bitwise-exact) or FMA kernel (each when compiled in
+// and the CPU supports it).
 // Selection is runtime: APF_GEMM_BACKEND env var or set_gemm_backend().
 //
 // ---------------------------------------------------------------- contract

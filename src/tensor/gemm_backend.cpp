@@ -12,15 +12,12 @@ std::atomic<GemmBackend*> g_active{nullptr};
 }  // namespace
 
 const std::vector<GemmBackend*>& gemm_backends() {
-  // Registry, in default-preference order (tuned first). fma and int8
-  // are listed between avx2 and reference for explicit selection, but
-  // the default pick in resolve_gemm_backend skips them via bitwise_exact()
-  // (int8 is additionally quantized — tolerance-grade vs fp32, see
-  // tensor/quantize.h).
+  // Registry, in default-preference order (tuned first). fma is listed
+  // between avx2 and reference for explicit selection, but the default
+  // pick in resolve_gemm_backend skips it via bitwise_exact().
   static const std::vector<GemmBackend*> all = {
       detail::avx2_gemm_backend(),
       detail::fma_gemm_backend(),
-      detail::int8_gemm_backend(),
       detail::reference_gemm_backend(),
   };
   return all;

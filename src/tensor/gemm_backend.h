@@ -13,8 +13,8 @@
 //      order — avx2 when compiled in and the CPU supports it, otherwise
 //      reference.
 //
-// The tolerance-grade backends (fma, int8) do not replicate the reference
-// accumulation order (gemm.h), so they never win the default selection and
+// The tolerance-grade fma backend does not replicate the reference
+// accumulation order (gemm.h), so it never wins the default selection and
 // must be requested via the env var or set_gemm_backend().
 //
 // Adding a backend: implement GemmBackend honoring the gemm.h row-panel
@@ -45,7 +45,7 @@ class GemmBackend {
   /// True when the backend honors the full bitwise contract documented in
   /// gemm.h (row stability + bitwise identity with the reference backend);
   /// false when only the kGemmRowPanel panel-level split-m contract and
-  /// same-call determinism hold (fma, int8). Defaults to false: exactness
+  /// same-call determinism hold (fma). Defaults to false: exactness
   /// is an explicit claim — a new backend that forgets to make it merely loses
   /// default-selection eligibility instead of silently breaking the
   /// serving paths' bitwise guarantees.
@@ -99,7 +99,6 @@ namespace detail {
 GemmBackend* reference_gemm_backend();
 GemmBackend* avx2_gemm_backend();
 GemmBackend* fma_gemm_backend();
-GemmBackend* int8_gemm_backend();
 }  // namespace detail
 
 }  // namespace apf

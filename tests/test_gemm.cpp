@@ -88,13 +88,6 @@ class GemmBetaSweep : public BackendTest,
 
 TEST_P(GemmBetaSweep, OddShapesMatchNaive) {
   const auto [backend, ta, tb, beta] = GetParam();
-  if (backend == "int8") {
-    // Quantized: the error budget is set by the 8-bit grid (~0.5 absolute
-    // on a randn k=300 reduction), far outside this sweep's fp32-rounding
-    // tolerance. test_quantize pins the int8 error bound (and the layer /
-    // end-to-end Dice contract) on its own scale.
-    GTEST_SKIP() << "int8 is quantized; see test_quantize for its bounds";
-  }
   PinBackend(backend);
   // Deliberately not multiples of the 64/256/256 cache blocks.
   const std::int64_t m = 65, n = 257, k = 300;
@@ -132,9 +125,6 @@ class GemmBackendSuite : public BackendTest,
 };
 
 TEST_P(GemmBackendSuite, AlphaScalesProducts) {
-  if (GetParam() == "int8") {
-    GTEST_SKIP() << "int8 is quantized; see test_quantize for its bounds";
-  }
   const std::int64_t m = 9, n = 31, k = 65;
   Rng rng(23);
   Tensor a = Tensor::randn({m, k}, rng);
@@ -414,15 +404,8 @@ TEST(GemmRegistry, AvailableNamesAreRunnable) {
     const float b[4] = {5.f, 6.f, 7.f, 8.f};
     float c[4] = {0.f, 0.f, 0.f, 0.f};
     gemm(false, false, 2, 2, 2, 1.f, a, 2, b, 2, 0.f, c, 2);
-    if (name == "int8") {
-      // Quantized: exact integers in, but the operands land on the 8-bit
-      // grid first — 2% relative covers the worst case of this shape.
-      EXPECT_NEAR(c[0], 19.f, 19.f * 0.02f) << name;
-      EXPECT_NEAR(c[3], 50.f, 50.f * 0.02f) << name;
-    } else {
-      EXPECT_FLOAT_EQ(c[0], 19.f) << name;
-      EXPECT_FLOAT_EQ(c[3], 50.f) << name;
-    }
+    EXPECT_FLOAT_EQ(c[0], 19.f) << name;
+    EXPECT_FLOAT_EQ(c[3], 50.f) << name;
   }
   ASSERT_TRUE(set_gemm_backend(before));
 }

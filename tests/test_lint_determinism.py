@@ -189,12 +189,6 @@ class IsaGateRule(unittest.TestCase):
         }
         self.assertEqual([], flag_rules([e]))
 
-    def test_int8_kernel_passes(self):
-        # Falls back to the static allowlist when the fixture root has no
-        # registry TU; gemm_int8.cpp is on it.
-        e = entry("src/tensor/gemm_int8.cpp", ["-mavx2", "-ffp-contract=off"])
-        self.assertEqual([], flag_rules([e]))
-
     def test_allowlist_derived_from_registry_tu(self):
         # With a readable registry TU the allowlist is DERIVED from the
         # wired-in backend factories, not the static fallback: a freshly
@@ -218,13 +212,12 @@ class IsaGateRule(unittest.TestCase):
 
     def test_committed_registry_covers_isa_kernels(self):
         # The real registry must yield every TU the build hands ISA flags
-        # to (gemm_avx2 / gemm_fma / gemm_int8 as of this PR).
+        # to (gemm_avx2 / gemm_fma).
         root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
         derived = lint.registry_gated_tus(root)
         self.assertNotEqual(derived, lint.ISA_GATED_TUS,
                             "registry TU unreadable; derivation fell back")
-        for tu in ("src/tensor/gemm_avx2.cpp", "src/tensor/gemm_fma.cpp",
-                   "src/tensor/gemm_int8.cpp"):
+        for tu in ("src/tensor/gemm_avx2.cpp", "src/tensor/gemm_fma.cpp"):
             self.assertIn(tu, derived)
 
 

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -648,7 +647,11 @@ TEST(Server, ConcurrentClientsStressBitwiseEqualsSerial) {
 // engaged (thread counts > 1, forward passes and gemm panels in one
 // pool), engine and server outputs are bit-for-bit equal to the
 // single-threaded serial path at every worker count — stealing only moves
-// a task between threads, never what it computes.
+// a task between threads, never what it computes. Width 1 is the
+// regime where the execution gate serializes the workers' forwards on one
+// thread; there every server must still answer every request with the
+// serial bits. Server-vs-serial speed is bench_diff.py's claim
+// (--min-speedup), not a ctest timing assertion.
 TEST(Server, ThreadedEngineAndServerBitwiseEqualSingleThreadSerial) {
   // RAII so an ASSERT failure cannot leave the global width pinned for
   // the rest of the process.
@@ -662,7 +665,7 @@ TEST(Server, ThreadedEngineAndServerBitwiseEqualSingleThreadSerial) {
   serve::InferenceEngine serial(rig.model, rig.engine_config());
   const serve::InferenceResult want = serial.run(images);
 
-  for (const int threads : {2, 7}) {
+  for (const int threads : {1, 2, 7}) {
     set_num_threads(threads);
 
     serve::InferenceEngine engine(rig.model, rig.engine_config());
@@ -693,114 +696,6 @@ TEST(Server, ThreadedEngineAndServerBitwiseEqualSingleThreadSerial) {
               << threads << " threads / " << workers << " workers";
       }
     }
-  }
-}
-
-// The PR 6 throughput pin: on a 32-image mixed workload the async server
-// (bucketed batching, unified scheduler) must not fall behind
-// the serial engine at any worker count. Serial pads every image to the
-// global longest sequence; the server pads only within a bucket, so it
-// does strictly less arithmetic — PR 5 still lost the difference to
-// static pool partitioning, which this scheduler removed. The statistic
-// is the MEDIAN of per-round serial/server ratios over interleaved
-// rounds — the same estimator bench_inference trusts. A best-of-N pin
-// flaked under load because the two best-of minima could come from
-// DIFFERENT rounds (serial's best against a stalled server round);
-// per-round ratios cancel host-speed drift within the round and the
-// median discards the outlier rounds entirely. The committed
-// BENCH_serving.json carries the strict >= 1.0 gate for this container.
-TEST(Server, ThroughputAtLeastSerialOnMixedWorkload) {
-  struct ThreadCountGuard {
-    ~ThreadCountGuard() { set_num_threads(0); }
-  } restore_threads;
-  // Width 1 makes the comparison deterministic on any host: the
-  // scheduler's execution gate serializes the workers' forwards (run to
-  // completion on one cache-hot thread), so the server's edge must come
-  // from scheduling — exact-length bucketing removes the padding the
-  // serial engine's first-come batches pay — not from parallel hardware.
-  set_num_threads(1);
-  // A meatier rig than the shared one: 64px images give genuinely mixed
-  // sequence lengths (up to 256 tokens), so global-max padding costs the
-  // serial path real arithmetic and per-batch overhead stays amortized —
-  // the regime dynamic batching is for. The tiny shared Rig's ~0.5 ms
-  // forwards would drown the comparison in fixed overhead.
-  Rng rng(7);
-  models::UnetrConfig mcfg;
-  mcfg.enc.token_dim = 3 * 4 * 4;
-  mcfg.enc.d_model = 64;
-  mcfg.enc.depth = 2;
-  mcfg.enc.heads = 4;
-  mcfg.image_size = 64;
-  mcfg.grid = 8;
-  mcfg.base_channels = 8;
-  models::Unetr2d model(mcfg, rng);
-  serve::EngineConfig ecfg;
-  ecfg.patcher.patch_size = 4;
-  ecfg.patcher.min_patch = 4;
-  ecfg.patcher.max_depth = 6;
-  ecfg.patcher.seq_len = 0;  // natural lengths: bucketing has real work
-  ecfg.max_batch = 4;
-  data::PaipConfig pc;
-  pc.resolution = 64;
-  data::SyntheticPaip gen(pc);
-  std::vector<img::Image> images;
-  for (std::int64_t i = 0; i < 32; ++i) images.push_back(gen.sample(i).image);
-
-  using Clock = std::chrono::steady_clock;
-  const auto seconds = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double>(b - a).count();
-  };
-
-  serve::InferenceEngine serial(model, ecfg);
-  serial.run(images);  // warm up caches and the thread pool
-
-  for (const int workers : {1, 2, 4}) {
-    serve::ServerConfig scfg;
-    scfg.engine = ecfg;
-    scfg.num_workers = workers;
-    scfg.batch_deadline_ms = 2.0;
-    // Exact-length bucketing: requests batch only with identical-length
-    // peers, so server batches carry ZERO padding while the serial
-    // engine's first-come batches pad every member to the batch max.
-    scfg.bucket_granularity = 1;
-    scfg.max_queue = 16;
-    // One server per worker count, warmed before timing (fresh worker
-    // threads pay one-time thread-local arena and pack-buffer faults),
-    // then serial/server passes interleaved so host-speed drift hits
-    // both sides alike.
-    serve::Server server(model, scfg);
-    for (auto& f : server.submit_many(images)) f.get();
-    const auto measure_median = [&] {
-      std::vector<double> ratios;  // serial_s / server_s per round
-      for (int pass = 0; pass < 7; ++pass) {
-        auto t0 = Clock::now();
-        serial.run(images);
-        const double serial_s = seconds(t0, Clock::now());
-        t0 = Clock::now();
-        std::vector<std::future<serve::InferenceResult>> futures =
-            server.submit_many(images);
-        for (auto& f : futures) f.get();
-        const double server_s = seconds(t0, Clock::now());
-        ratios.push_back(serial_s / server_s);
-      }
-      std::sort(ratios.begin(), ratios.end());
-      return ratios[ratios.size() / 2];
-    };
-    // 0.80 grace: interleaving cancels host-speed drift, but on a
-    // heavily shared runner the server's extra threads are pure
-    // context-switch overhead at width 1, which taxes the server side of
-    // every round a few percent (measured ~0.81 medians under 3x CPU
-    // oversubscription). The floor still rejects a real scheduling
-    // regression (PR 5's partitioned pool sat at 0.68x). A borderline
-    // median earns ONE fresh measurement — a real regression fails both,
-    // while a background burst has to land on the same worker count
-    // twice in a row to flake the suite.
-    double median = measure_median();
-    if (median < 0.80) median = std::max(median, measure_median());
-    EXPECT_GE(median, 0.80)
-        << "server slower than serial at " << workers
-        << " workers (best median serial/server ratio " << median
-        << " over two 7-round measurements)";
   }
 }
 
