@@ -1,8 +1,8 @@
 // Substrate micro-benchmarks (google-benchmark): GEMM, attention-sized
-// batched matmul + softmax, the decoder's 3x3 convolutions, Canny,
-// quadtree construction, Morton encoding, adaptive patch extraction. These
-// are the kernels whose costs the FrontierModel abstracts — measuring them
-// grounds the model's constants.
+// batched matmul + softmax, the decoder's 3x3 convolutions and its conv
+// and up blocks, Canny, quadtree construction, Morton encoding, adaptive
+// patch extraction. These are the kernels whose costs the FrontierModel
+// abstracts — measuring them grounds the model's constants.
 
 #include <benchmark/benchmark.h>
 
@@ -10,9 +10,11 @@
 #include "models/patcher.h"
 #include "data/synthetic.h"
 #include "img/filters.h"
+#include "models/unetr.h"
 #include "nn/conv.h"
 #include "quadtree/morton.h"
 #include "quadtree/quadtree.h"
+#include "tensor/arena.h"
 #include "tensor/ops.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
@@ -99,9 +101,11 @@ BENCHMARK(BM_Gelu);
 
 void BM_Conv2d(benchmark::State& state) {
   // One UNETR decoder 3x3 conv (in_c -> 8 channels, pad 1) on a batch-1
-  // z x z map, grad-free as in serving, at a parallel width of `threads`
-  // (capped by the host's num_threads()). FLOP/s counts a multiply and an
-  // add for each of the 8 * in_c * 9 taps of every output pixel.
+  // z x z map, grad-free under an ArenaScope as in serving (so the output
+  // plane is a bump allocation into reused memory, not a fresh heap block),
+  // at a parallel width of `threads` (capped by the host's num_threads()).
+  // FLOP/s counts a multiply and an add for each of the 8 * in_c * 9 taps
+  // of every output pixel.
   const std::int64_t in_c = state.range(0), z = state.range(1);
   apf::ThreadLimitGuard width(static_cast<int>(state.range(2)));
   apf::Rng rng(3);
@@ -110,6 +114,7 @@ void BM_Conv2d(benchmark::State& state) {
       apf::Var::constant(apf::Tensor::randn({1, in_c, z, z}, rng));
   apf::NoGradGuard no_grad;
   for (auto _ : state) {
+    apf::ArenaScope arena;
     apf::Var y = conv.forward(x);
     benchmark::DoNotOptimize(y.val().data());
   }
@@ -120,6 +125,57 @@ void BM_Conv2d(benchmark::State& state) {
 BENCHMARK(BM_Conv2d)
     ->ArgNames({"in_c", "z", "threads"})
     ->ArgsProduct({{8, 16}, {128, 512}, {1, 4}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ConvBlock2d(benchmark::State& state) {
+  // One UNETR decoder conv block (3x3 conv + batch norm + ReLU, twice;
+  // in_c -> 8 channels) on a batch-1 z x z map, grad-free, in eval mode
+  // and under an ArenaScope as in serving, so each layer runs as one pass
+  // with its epilogue fused.
+  const std::int64_t in_c = state.range(0), z = state.range(1);
+  apf::ThreadLimitGuard width(static_cast<int>(state.range(2)));
+  apf::Rng rng(6);
+  apf::models::ConvBlock2d block(in_c, 8, rng);
+  block.set_training(false);
+  const apf::Var x =
+      apf::Var::constant(apf::Tensor::randn({1, in_c, z, z}, rng));
+  apf::NoGradGuard no_grad;
+  for (auto _ : state) {
+    apf::ArenaScope arena;
+    apf::Var y = block.forward(x);
+    benchmark::DoNotOptimize(y.val().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ConvBlock2d)
+    ->ArgNames({"in_c", "z", "threads"})
+    ->ArgsProduct({{8, 16}, {128, 512}, {1, 4}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_UpBlock2d(benchmark::State& state) {
+  // One UNETR decoder up block (2x2 stride-2 transposed conv + batch norm
+  // + ReLU, 8 -> 8 channels) from a batch-1 z/2 map to z x z, grad-free,
+  // in eval mode and under an ArenaScope.
+  const std::int64_t z = state.range(0);
+  apf::ThreadLimitGuard width(static_cast<int>(state.range(1)));
+  apf::Rng rng(7);
+  apf::models::UpBlock2d block(8, 8, rng);
+  block.set_training(false);
+  const apf::Var x =
+      apf::Var::constant(apf::Tensor::randn({1, 8, z / 2, z / 2}, rng));
+  apf::NoGradGuard no_grad;
+  for (auto _ : state) {
+    apf::ArenaScope arena;
+    apf::Var y = block.forward(x);
+    benchmark::DoNotOptimize(y.val().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_UpBlock2d)
+    ->ArgNames({"z", "threads"})
+    ->ArgsProduct({{128, 512}, {1, 4}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -30,8 +30,7 @@ TransUnetLite::TransUnetLite(const TransUnetConfig& cfg, Rng& rng)
   for (std::int64_t l = cfg.stem_levels - 1; l >= 0; --l) {
     const std::int64_t cur = width(l);
     const std::int64_t up_in = l == cfg.stem_levels - 1 ? in_c : width(l + 1);
-    ups_.push_back(
-        std::make_unique<nn::ConvTranspose2d>(up_in, cur, 2, 2, rng));
+    ups_.push_back(std::make_unique<nn::ConvTranspose2d>(up_in, cur, rng));
     add_child("up" + std::to_string(l), *ups_.back());
     // Fuses the upsampled path with the matching stem skip.
     up_blocks_.push_back(std::make_unique<ConvBlock2d>(2 * cur, cur, rng));

@@ -19,7 +19,7 @@ Unet2d::Unet2d(const UnetConfig& cfg, Rng& rng) : cfg_(cfg) {
 
   for (std::int64_t l = cfg.levels - 1; l >= 0; --l) {
     ups_.push_back(
-        std::make_unique<nn::ConvTranspose2d>(width(l + 1), width(l), 2, 2, rng));
+        std::make_unique<nn::ConvTranspose2d>(width(l + 1), width(l), rng));
     add_child("up" + std::to_string(l), *ups_.back());
     up_blocks_.push_back(
         std::make_unique<ConvBlock2d>(2 * width(l), width(l), rng));

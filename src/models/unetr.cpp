@@ -14,17 +14,20 @@ ConvBlock2d::ConvBlock2d(std::int64_t in_c, std::int64_t out_c, Rng& rng)
 }
 
 Var ConvBlock2d::forward(const Var& x) const {
+  if (!ag::grad_enabled() && !training())
+    return c2_.forward_bn_relu(c1_.forward_bn_relu(x, b1_), b2_);
   Var h = ag::relu(b1_.forward(c1_.forward(x)));
   return ag::relu(b2_.forward(c2_.forward(h)));
 }
 
 UpBlock2d::UpBlock2d(std::int64_t in_c, std::int64_t out_c, Rng& rng)
-    : up_(in_c, out_c, 2, 2, rng), bn_(out_c) {
+    : up_(in_c, out_c, rng), bn_(out_c) {
   add_child("up", up_);
   add_child("bn", bn_);
 }
 
 Var UpBlock2d::forward(const Var& x) const {
+  if (!ag::grad_enabled() && !training()) return up_.forward_bn_relu(x, bn_);
   return ag::relu(bn_.forward(up_.forward(x)));
 }
 

@@ -24,6 +24,14 @@ struct UnetrConfig {
   std::int64_t base_channels = 32; ///< decoder width at the base grid
 };
 
+// Decoder blocks. With grad off and the block in eval mode, each layer runs
+// as one pass: the conv's band loop applies the batch norm's running
+// statistics and the ReLU to each output band (nn::Conv2d::forward_bn_relu,
+// nn::ConvTranspose2d::forward_bn_relu), with the separate ops' arithmetic
+// per element, so the logits are bitwise those of the taped path and no
+// batch-norm or ReLU plane is allocated. With grad on, or in training mode
+// (batch statistics), the layers run as separate taped ops.
+
 /// Conv3x3 + BN + ReLU, twice (classic decoder block).
 class ConvBlock2d : public nn::Module {
  public:

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "nn/init.h"
-#include "tensor/arena.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "core/parallel_for.h"
@@ -20,6 +19,31 @@ Tensor item(const Tensor& x, std::int64_t b) {
   const std::int64_t n = c * h * w;
   std::copy(x.data() + b * n, x.data() + (b + 1) * n, out.data());
   return out;
+}
+
+/// The calling thread's band scratch, at least n floats. Not a Tensor: on
+/// pool threads no ArenaScope is open, so a tensor here would be a heap
+/// allocation per band. Reused across calls, like the gemm pack buffers.
+/// A band task holds it across its own gemm only, and a thread waiting on
+/// that gemm runs nothing but the gemm's chunks (core/thread_pool.h), so
+/// both conv layers share it.
+float* band_scratch(std::int64_t n) {
+  thread_local std::vector<float> scratch;
+  scratch.resize(static_cast<std::size_t>(n));
+  return scratch.data();
+}
+
+/// bn's eval constants for the epilogue of a layer with `channels` outputs.
+std::vector<ops::BnChannel> eval_epilogue(const BatchNorm2d& bn,
+                                          std::int64_t channels) {
+  APF_CHECK(!ag::grad_enabled() && !bn.training(),
+            "forward_bn_relu: needs grad off and batch norm in eval mode");
+  std::vector<ops::BnChannel> ch = bn.eval_channels();
+  APF_CHECK(static_cast<std::int64_t>(ch.size()) == channels,
+            "forward_bn_relu: batch norm over " << ch.size()
+                                                << " channels, layer has "
+                                                << channels);
+  return ch;
 }
 
 }  // namespace
@@ -39,8 +63,7 @@ std::int64_t conv_band_rows(std::int64_t ckk, std::int64_t out_w) {
   return std::max<std::int64_t>(1, kGemmBlockK * kGemmBlockN / (ckk * out_w));
 }
 
-Var Conv2d::forward(const Var& x) const {
-  const Tensor& xv = x.val();
+Tensor Conv2d::run(const Tensor& xv, const ops::BnChannel* bn) const {
   APF_CHECK(xv.ndim() == 4 && xv.size(1) == in_c_,
             "Conv2d: input " << xv.str() << " vs in_channels " << in_c_);
   const std::int64_t b = xv.size(0), h = xv.size(2), w = xv.size(3);
@@ -54,7 +77,7 @@ Var Conv2d::forward(const Var& x) const {
   // into y at ldc = OH*OW. Gemm row stability (gemm.h) makes any column
   // split bitwise neutral: each output element still starts at zero and
   // adds w[o][p] * col[p][j] over p in (channel, ki, kj) order, k-blocked
-  // as before, then its bias.
+  // as before, then its epilogue.
   const std::int64_t ckk = in_c_ * k_ * k_;
   const std::int64_t plane = oh * ow;
   const std::int64_t band = conv_band_rows(ckk, ow);
@@ -76,26 +99,34 @@ Var Conv2d::forward(const Var& x) const {
     const float* cols = xi + oi0 * ow;
     std::int64_t ldb = plane;
     if (!identity) {
-      // Not a Tensor: on pool threads no ArenaScope is open, so a tensor
-      // here would be a heap allocation per band. Reused across calls,
-      // like the gemm pack buffers.
-      thread_local std::vector<float> scratch;
-      scratch.resize(static_cast<std::size_t>(ckk * band * ow));
-      ops::im2col_into(xi, in_c_, h, w, k_, k_, stride_, pad_,
-                       scratch.data(), n, oi0, oi1);
-      cols = scratch.data();
+      float* scratch = band_scratch(ckk * band * ow);
+      ops::im2col_into(xi, in_c_, h, w, k_, k_, stride_, pad_, scratch, n,
+                       oi0, oi1);
+      cols = scratch;
       ldb = n;
     }
     float* yb = py + i * out_c_ * plane + oi0 * ow;
     gemm(false, false, out_c_, n, ckk, 1.f, pw, ckk, cols, ldb, 0.f, yb,
          plane);
-    if (pb != nullptr) {
-      for (std::int64_t o = 0; o < out_c_; ++o) {
-        float* row = yb + o * plane;
-        for (std::int64_t j = 0; j < n; ++j) row[j] += pb[o];
-      }
+    for (std::int64_t o = 0; o < out_c_; ++o) {
+      ops::conv_epilogue_row(yb + o * plane, n,
+                             pb != nullptr ? pb + o : nullptr,
+                             bn != nullptr ? bn + o : nullptr);
     }
   }, /*grain=*/1);
+  return y;
+}
+
+Var Conv2d::forward_bn_relu(const Var& x, const BatchNorm2d& bn) const {
+  const std::vector<ops::BnChannel> ch = eval_epilogue(bn, out_c_);
+  return Var::constant(run(x.val(), ch.data()));
+}
+
+Var Conv2d::forward(const Var& x) const {
+  const Tensor& xv = x.val();
+  Tensor y = run(xv, nullptr);
+  const std::int64_t b = xv.size(0), h = xv.size(2), w = xv.size(3);
+  const std::int64_t oh = y.size(2), ow = y.size(3);
 
   auto xn = x.node();
   auto wn = weight_.node();
@@ -145,75 +176,92 @@ Var Conv2d::forward(const Var& x) const {
 }
 
 ConvTranspose2d::ConvTranspose2d(std::int64_t in_channels,
-                                 std::int64_t out_channels,
-                                 std::int64_t kernel, std::int64_t stride,
-                                 Rng& rng, bool bias)
-    : in_c_(in_channels), out_c_(out_channels), k_(kernel), stride_(stride) {
-  APF_CHECK(kernel >= 1 && stride >= 1, "ConvTranspose2d: bad geometry");
+                                 std::int64_t out_channels, Rng& rng,
+                                 bool bias)
+    : in_c_(in_channels), out_c_(out_channels) {
   weight_ = add_param(
-      "weight", kaiming_normal({in_c_, out_c_ * k_ * k_}, in_c_ * k_ * k_, rng));
+      "weight", kaiming_normal({in_c_, out_c_ * 4}, in_c_ * 4, rng));
   if (bias) bias_ = add_param("bias", Tensor::zeros({out_c_}));
+}
+
+Tensor ConvTranspose2d::run(const Tensor& xv, const ops::BnChannel* bn) const {
+  APF_CHECK(xv.ndim() == 4 && xv.size(1) == in_c_,
+            "ConvTranspose2d: input " << xv.str() << " vs " << in_c_);
+  const std::int64_t b = xv.size(0), h = xv.size(2), w = xv.size(3);
+  const std::int64_t oh = 2 * h, ow = 2 * w;
+
+  // y_i = col2im(W^T @ x_i), the exact adjoint of a 2x2 stride-2 conv, one
+  // band of input rows per task: the band's [OC*4, rows*W] columns go to
+  // per-thread scratch of about one gemm B block (gemm row stability makes
+  // the column split bitwise neutral). With kernel == stride every output
+  // pixel takes exactly one column entry, so col2im is a permutation:
+  // output row 2r + ki of channel o interleaves the column rows (o, ki, 0)
+  // and (o, ki, 1) of input row r. Each output row is written once —
+  // 0.f + column, which is what col2im's zeroed plane plus its one add
+  // produced (-0 becomes +0) — then runs its epilogue.
+  const std::int64_t okk = out_c_ * 4;
+  const std::int64_t band = conv_band_rows(okk, w);
+  const std::int64_t bands = (h + band - 1) / band;
+  Tensor y = Tensor::empty({b, out_c_, oh, ow});
+  const float* px = xv.data();
+  const float* pw = weight_.val().data();
+  const float* pb = bias_.defined() ? bias_.val().data() : nullptr;
+  float* py = y.data();
+  parallel_for(b * bands, [&](std::int64_t task) {
+    const std::int64_t i = task / bands;
+    const std::int64_t r0 = task % bands * band;
+    const std::int64_t r1 = std::min(h, r0 + band);
+    const std::int64_t n = (r1 - r0) * w;
+    float* cols = band_scratch(okk * band * w);
+    gemm(true, false, okk, n, in_c_, 1.f, pw, okk,
+         px + i * in_c_ * h * w + r0 * w, h * w, 0.f, cols, n);
+    for (std::int64_t o = 0; o < out_c_; ++o) {
+      const float* bo = pb != nullptr ? pb + o : nullptr;
+      const ops::BnChannel* bno = bn != nullptr ? bn + o : nullptr;
+      float* yo = py + (i * out_c_ + o) * oh * ow;
+      for (std::int64_t r = r0; r < r1; ++r) {
+        for (std::int64_t ki = 0; ki < 2; ++ki) {
+          float* dst = yo + (2 * r + ki) * ow;
+          const float* src = cols + (2 * o + ki) * 2 * n + (r - r0) * w;
+          for (std::int64_t j = 0; j < w; ++j) {
+            dst[2 * j] = 0.f + src[j];
+            dst[2 * j + 1] = 0.f + src[n + j];
+          }
+          ops::conv_epilogue_row(dst, ow, bo, bno);
+        }
+      }
+    }
+  }, /*grain=*/1);
+  return y;
+}
+
+Var ConvTranspose2d::forward_bn_relu(const Var& x,
+                                     const BatchNorm2d& bn) const {
+  const std::vector<ops::BnChannel> ch = eval_epilogue(bn, out_c_);
+  return Var::constant(run(x.val(), ch.data()));
 }
 
 Var ConvTranspose2d::forward(const Var& x) const {
   const Tensor& xv = x.val();
-  APF_CHECK(xv.ndim() == 4 && xv.size(1) == in_c_,
-            "ConvTranspose2d: input " << xv.str() << " vs " << in_c_);
+  Tensor y = run(xv, nullptr);
   const std::int64_t b = xv.size(0), h = xv.size(2), w = xv.size(3);
-  const std::int64_t oh = (h - 1) * stride_ + k_;
-  const std::int64_t ow = (w - 1) * stride_ + k_;
-
-  // y_i = col2im(W^T @ x_i): the exact adjoint of a stride-s conv. One
-  // flat [B, OC*K*K, H*W] column buffer + direct writes into y replace
-  // per-item tensors and copies; x_i is read in place (it is already a
-  // contiguous [C, H*W] slab of the batch).
-  const std::int64_t okk = out_c_ * k_ * k_;
-  Tensor y = Tensor::empty({b, out_c_, oh, ow});
-  {
-    // y is allocated BEFORE this inner scope, so on the grad-free serving
-    // path the column buffer is reclaimed the moment the layer returns
-    // instead of accumulating across the whole model forward.
-    ArenaScope cols_scope;
-    Tensor cols = Tensor::empty({b, okk, h * w});
-    const float* px = xv.data();
-    const float* pw = weight_.val().data();
-    float* pc = cols.data();
-    float* py = y.data();
-    parallel_for(b, [&](std::int64_t i) {
-      gemm(true, false, okk, h * w, in_c_, 1.f, pw, okk, px + i * in_c_ * h * w,
-           h * w, 0.f, pc + i * okk * h * w, h * w);
-    }, /*grain=*/1);
-    parallel_for(b * out_c_, [&](std::int64_t task) {
-      const std::int64_t i = task / out_c_, ch = task % out_c_;
-      ops::col2im_into(pc + i * okk * h * w, out_c_, oh, ow, k_, k_, stride_,
-                       0, py + i * out_c_ * oh * ow, ch, ch + 1);
-    }, /*grain=*/1);
-  }
-  if (bias_.defined()) {
-    float* py = y.data();
-    const float* pb = bias_.val().data();
-    parallel_for(b * out_c_, [&](std::int64_t i) {
-      const float bv = pb[i % out_c_];
-      float* row = py + i * oh * ow;
-      for (std::int64_t j = 0; j < oh * ow; ++j) row[j] += bv;
-    });
-  }
+  const std::int64_t oh = y.size(2), ow = y.size(3);
 
   auto xn = x.node();
   auto wn = weight_.node();
   auto bn = bias_.defined() ? bias_.node() : nullptr;
-  const std::int64_t in_c = in_c_, out_c = out_c_, k = k_, stride = stride_;
+  const std::int64_t in_c = in_c_, out_c = out_c_;
   std::vector<Var> parents{x, weight_};
   if (bias_.defined()) parents.push_back(bias_);
   return ag::make_op(
       y, parents,
-      [xn, wn, bn, in_c, out_c, k, stride, b, h, w, oh, ow](ag::Node& n) {
+      [xn, wn, bn, in_c, out_c, b, h, w, oh, ow](ag::Node& n) {
         const Tensor& dy = n.grad;
         for (std::int64_t i = 0; i < b; ++i) {
           Tensor dyi({out_c, oh, ow});
           std::copy(dy.data() + i * out_c * oh * ow,
                     dy.data() + (i + 1) * out_c * oh * ow, dyi.data());
-          Tensor dy_cols = ops::im2col(dyi, k, k, stride, 0);  // [OC*k*k, h*w]
+          Tensor dy_cols = ops::im2col(dyi, 2, 2, 2, 0);  // [OC*2*2, h*w]
           if (xn->requires_grad) {
             // dX_i = W @ im2col(dY_i).
             Tensor dxi = ops::matmul(wn->value, dy_cols);
@@ -294,8 +342,20 @@ BatchNorm2d::BatchNorm2d(std::int64_t channels, float eps, float momentum)
     : c_(channels), eps_(eps), momentum_(momentum) {
   gamma_ = add_param("gamma", Tensor::ones({c_}));
   beta_ = add_param("beta", Tensor::zeros({c_}));
-  running_mean_ = Tensor::zeros({c_});
-  running_var_ = Tensor::ones({c_});
+  running_mean_ = add_buffer("running_mean", Tensor::zeros({c_}));
+  running_var_ = add_buffer("running_var", Tensor::ones({c_}));
+}
+
+std::vector<ops::BnChannel> BatchNorm2d::eval_channels() const {
+  std::vector<ops::BnChannel> out(static_cast<std::size_t>(c_));
+  const float* pg = gamma_.val().data();
+  const float* pb = beta_.val().data();
+  for (std::int64_t ch = 0; ch < c_; ++ch) {
+    out[static_cast<std::size_t>(ch)] = {
+        running_mean_[ch], 1.f / std::sqrt(running_var_[ch] + eps_), pg[ch],
+        pb[ch]};
+  }
+  return out;
 }
 
 Var BatchNorm2d::forward(const Var& x) const {
@@ -349,21 +409,6 @@ Var BatchNorm2d::forward(const Var& x) const {
   float* py = y.data();
   for (std::int64_t ch = 0; ch < c_; ++ch)
     inv_std[ch] = 1.f / std::sqrt(var[ch] + eps_);
-
-  if (!ag::grad_enabled()) {
-    // Grad-free fast path: identical per-element arithmetic, but the
-    // saved-for-backward xhat plane is neither allocated nor written
-    // (mirrors layernorm's no-grad behavior).
-    parallel_for(b * c_, [&](std::int64_t plane) {
-      const std::int64_t ch = plane % c_;
-      const float mu = mean[ch], is = inv_std[ch], ga = pg[ch], be = pb[ch];
-      const float* xp = px + plane * h * w;
-      float* yp = py + plane * h * w;
-      for (std::int64_t j = 0; j < h * w; ++j)
-        yp[j] = (xp[j] - mu) * is * ga + be;
-    });
-    return Var::constant(std::move(y));
-  }
 
   Tensor xhat = Tensor::empty(xv.shape());
   {

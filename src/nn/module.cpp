@@ -25,6 +25,19 @@ std::vector<std::pair<std::string, Var>> Module::named_parameters(
   return out;
 }
 
+std::vector<std::pair<std::string, Tensor>> Module::named_buffers(
+    const std::string& prefix) const {
+  std::vector<std::pair<std::string, Tensor>> out;
+  for (const auto& [name, t] : buffers_)
+    out.emplace_back(prefix.empty() ? name : prefix + "." + name, t);
+  for (const auto& [name, child] : children_) {
+    auto sub =
+        child->named_buffers(prefix.empty() ? name : prefix + "." + name);
+    out.insert(out.end(), sub.begin(), sub.end());
+  }
+  return out;
+}
+
 void Module::zero_grad() {
   for (Var& v : const_cast<std::vector<Var>&&>(parameters())) v.zero_grad();
 }
@@ -43,6 +56,11 @@ void Module::set_training(bool on) {
 Var& Module::add_param(std::string name, Tensor init) {
   params_.emplace_back(std::move(name), Var::param(std::move(init)));
   return params_.back().second;
+}
+
+Tensor& Module::add_buffer(std::string name, Tensor init) {
+  buffers_.emplace_back(std::move(name), std::move(init));
+  return buffers_.back().second;
 }
 
 void Module::add_child(std::string name, Module& child) {

@@ -1,8 +1,8 @@
 #pragma once
-// Module base class: parameter registration, recursive traversal,
-// train/eval mode. Children are registered as non-owning pointers to
-// member sub-objects (constructed before the ctor body runs), which keeps
-// model definitions plain C++ composition.
+// Module base class: parameter and buffer registration, recursive
+// traversal, train/eval mode. Children are registered as non-owning
+// pointers to member sub-objects (constructed before the ctor body runs),
+// which keeps model definitions plain C++ composition.
 
 #include <cstdint>
 #include <memory>
@@ -29,6 +29,13 @@ class Module {
   std::vector<std::pair<std::string, Var>> named_parameters(
       const std::string& prefix = "") const;
 
+  /// Non-trainable state with hierarchical dotted names, depth-first:
+  /// values a forward reads besides the parameters (BatchNorm2d's running
+  /// statistics). Checkpoints save them and the inference cache keys on
+  /// them. The tensors share storage with the owning module's members.
+  std::vector<std::pair<std::string, Tensor>> named_buffers(
+      const std::string& prefix = "") const;
+
   /// Zeroes every parameter gradient.
   void zero_grad();
 
@@ -42,11 +49,15 @@ class Module {
  protected:
   /// Registers a trainable parameter; returns the stored Var handle.
   Var& add_param(std::string name, Tensor init);
+  /// Registers a buffer (non-trainable state); returns the stored handle,
+  /// whose storage the caller's copy shares.
+  Tensor& add_buffer(std::string name, Tensor init);
   /// Registers a non-owning child (a member sub-module).
   void add_child(std::string name, Module& child);
 
  private:
   std::vector<std::pair<std::string, Var>> params_;
+  std::vector<std::pair<std::string, Tensor>> buffers_;
   std::vector<std::pair<std::string, Module*>> children_;
   bool training_ = true;
 };

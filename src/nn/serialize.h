@@ -1,8 +1,11 @@
 #pragma once
-// Model checkpointing: saves/loads the named parameters of a Module to a
-// simple self-describing binary format (magic + per-tensor name/shape/data,
-// little-endian float32). Load verifies that names and shapes match the
-// module it is restoring into.
+// Model checkpointing: saves/loads the named parameters of a Module, then
+// its named buffers (BatchNorm2d's running statistics), to a simple
+// self-describing binary format (magic + per-section count + per-tensor
+// name/shape/data, little-endian float32). Load verifies that names and
+// shapes match the module it is restoring into. Files from before buffers
+// were saved carry another magic and are rejected with a message saying
+// so.
 
 #include <string>
 
@@ -10,13 +13,14 @@
 
 namespace apf::nn {
 
-/// Writes every named parameter of the module. Throws CheckError on I/O
-/// failure.
+/// Writes every named parameter, then every named buffer, of the module.
+/// Throws CheckError on I/O failure.
 void save_parameters(const Module& module, const std::string& path);
 
-/// Restores parameters saved by save_parameters. The module must have the
-/// same parameter names and shapes (i.e. the same architecture); anything
-/// else throws CheckError without modifying the module.
+/// Restores parameters and buffers saved by save_parameters. The module
+/// must have the same parameter and buffer names and shapes (i.e. the same
+/// architecture); anything else throws CheckError without modifying the
+/// module.
 void load_parameters(Module& module, const std::string& path);
 
 }  // namespace apf::nn

@@ -172,8 +172,9 @@ EngineFingerprint compute_engine_fingerprint(
   EngineFingerprint fp;
   fp.patch = h.digest();  // prefix digest: patch tier stops here
 
-  // Model identity: geometry, analytic shape, then every parameter's
-  // shape and value bits — two models agree only if their weights do.
+  // Model identity: geometry, analytic shape, then every parameter's and
+  // every buffer's shape and value bits — two models agree only if their
+  // weights and batch-norm running statistics do.
   h.update_str("model");
   h.update_i64(model.expected_image_size());
   const dist::VitSpec spec = model.encoder_spec();
@@ -182,6 +183,12 @@ EngineFingerprint compute_engine_fingerprint(
   h.update_i64(spec.depth);
   h.update_i64(spec.heads);
   h.update_i64(spec.mlp_ratio);
+  const auto update_tensor = [&h](const Tensor& t) {
+    h.update_u64(static_cast<std::uint64_t>(t.ndim()));
+    for (std::int64_t i = 0; i < t.ndim(); ++i) h.update_i64(t.size(i));
+    detail::update_f32_buffer(h, t.data(),
+                              static_cast<std::size_t>(t.numel()));
+  };
   const std::vector<Var> params = model.parameters();
   h.update_u64(static_cast<std::uint64_t>(params.size()));
   for (const Var& p : params) {
@@ -189,12 +196,11 @@ EngineFingerprint compute_engine_fingerprint(
       h.update_str("undefined");
       continue;
     }
-    const Tensor& t = p.val();
-    h.update_u64(static_cast<std::uint64_t>(t.ndim()));
-    for (std::int64_t i = 0; i < t.ndim(); ++i) h.update_i64(t.size(i));
-    detail::update_f32_buffer(h, t.data(),
-                              static_cast<std::size_t>(t.numel()));
+    update_tensor(p.val());
   }
+  const auto buffers = model.named_buffers();
+  h.update_u64(static_cast<std::uint64_t>(buffers.size()));
+  for (const auto& [name, t] : buffers) update_tensor(t);
 
   // Decode identity: the threshold changes mask bits, not logits, but a
   // cached result carries both — so it keys the result tier.

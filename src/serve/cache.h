@@ -16,8 +16,8 @@
 //   image_hash          = H(h, w, c, pixel bits)
 //   patch_fingerprint   = H(every ApfConfig field)
 //   result_fingerprint  = H(patch_fp, model identity: expected size +
-//                           encoder spec + every parameter's shape and
-//                           value bits, mask_threshold)
+//                           encoder spec + every parameter's and every
+//                           buffer's shape and value bits, mask_threshold)
 //   backend_class       = "bitwise-exact" when the active gemm backend
 //                         certifies bitwise_exact() (reference and avx2
 //                         are mutually bitwise-identical, so they SHARE
@@ -113,8 +113,8 @@ struct EngineFingerprint {
 };
 
 /// Hashes the full serving identity: every ApfConfig field, the model's
-/// expected geometry + encoder spec + every parameter tensor (shape and
-/// value bits), and the decode threshold. Deterministic and seeded;
+/// expected geometry + encoder spec + every parameter and buffer tensor
+/// (shape and value bits), and the decode threshold. Deterministic and seeded;
 /// computed once per engine when a cache is attached.
 EngineFingerprint compute_engine_fingerprint(
     const models::TokenSegModel& model, const core::ApfConfig& patcher,

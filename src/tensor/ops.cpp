@@ -85,7 +85,7 @@ namespace {
 
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 
-// ---- 4-lane vector helpers for the softmax and GELU row kernels ----------
+// ---- 4-lane vector helpers for the row kernels ----------------------------
 // 16-byte GCC/Clang vector types compile to packed SSE on the x86-64
 // baseline. Plain scalar loops do not vectorize here: the selects below
 // are float compares, which -ftrapping-math keeps the compiler from
@@ -221,6 +221,24 @@ void gelu_row(const float* x, std::int64_t n, float* y) {
     const F4 v = load(x + j, len, 0.f);
     const F4 t = exp4(c * (v + splat(0.044715f) * v * v * v));
     store(y + j, v / (splat(1.f) + t), len);
+  });
+}
+
+void conv_epilogue_row(float* y, std::int64_t n, const float* bias,
+                       const BnChannel* bn) {
+  const F4 b = splat(bias != nullptr ? *bias : 0.f);
+  const BnChannel c = bn != nullptr ? *bn : BnChannel{0.f, 1.f, 1.f, 0.f};
+  const F4 mu = splat(c.mean), is = splat(c.inv_std), ga = splat(c.gamma),
+           be = splat(c.beta);
+  const F4 zero = splat(0.f);
+  for_each_block(n, [&](std::int64_t j, std::int64_t len) {
+    F4 v = load(y + j, len, 0.f);
+    if (bias != nullptr) v += b;
+    if (bn != nullptr) {
+      v = (v - mu) * is * ga + be;
+      v = select(v > zero, v, zero);
+    }
+    store(y + j, v, len);
   });
 }
 
@@ -613,6 +631,10 @@ Tensor im2col(const Tensor& x, std::int64_t kh, std::int64_t kw,
   return cols;
 }
 
+namespace {
+
+// Raw-pointer col2im for channels [c0, c1) of the output: zeroes each
+// channel plane of out ([C, H, W]) then scatter-adds its rows of cols.
 void col2im_into(const float* cols, std::int64_t c, std::int64_t h,
                  std::int64_t w, std::int64_t kh, std::int64_t kw,
                  std::int64_t stride, std::int64_t pad, float* out,
@@ -656,6 +678,8 @@ void col2im_into(const float* cols, std::int64_t c, std::int64_t h,
     }
   }
 }
+
+}  // namespace
 
 Tensor col2im(const Tensor& cols, std::int64_t c, std::int64_t h,
               std::int64_t w, std::int64_t kh, std::int64_t kw,

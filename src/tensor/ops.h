@@ -123,6 +123,29 @@ Tensor softmax_lastdim(const Tensor& x, const Tensor* key_mask = nullptr);
 /// dL/dx = y * (dy - sum(dy * y)).
 Tensor softmax_lastdim_grad(const Tensor& y, const Tensor& dy);
 
+// ---- Conv output epilogue ------------------------------------------------
+// Next to the softmax and GELU kernels because it shares their 4-lane
+// vector helpers (ops.cpp).
+
+/// One channel of an eval batch norm, as BatchNorm2d applies it:
+/// v -> (v - mean) * inv_std * gamma + beta, evaluated left to right, with
+/// inv_std = 1.f / std::sqrt(running_var + eps).
+struct BnChannel {
+  float mean, inv_std, gamma, beta;
+};
+
+/// The conv layers' output epilogue over n elements of one output channel,
+/// in place: v += *bias when bias is non-null, then, when bn is non-null,
+/// the batch norm *bn followed by ReLU (v > 0 ? v : 0). Each step is the
+/// separate op's float arithmetic (bias add, BatchNorm2d, ops::relu) on
+/// the same element, so a layer that runs it on its output bands gives the
+/// same bits as running the ops one after another on the whole tensor.
+/// ReLU is a compare-select: NaN and -0 become +0, as in ops::relu. Runs
+/// 4-lane vectors; lanes are independent, so any split into rows is
+/// bitwise neutral.
+void conv_epilogue_row(float* y, std::int64_t n, const float* bias,
+                       const BnChannel* bn);
+
 // ---- LayerNorm row kernel ------------------------------------------------
 /// One LayerNorm row over d elements: y = (x - mean) / sqrt(var + eps) *
 /// gamma + beta, with double-precision mean/variance accumulation. This is
@@ -156,14 +179,6 @@ void im2col_into(const float* x, std::int64_t c, std::int64_t h,
 Tensor col2im(const Tensor& cols, std::int64_t c, std::int64_t h,
               std::int64_t w, std::int64_t kh, std::int64_t kw,
               std::int64_t stride, std::int64_t pad);
-/// Raw-pointer col2im for channels [c0, c1) of the output: zeroes each
-/// channel plane of out ([C, H, W]) then scatter-adds its rows of cols,
-/// bitwise identical to col2im. Lets ConvTranspose2d scatter straight into
-/// its output, parallel over (item, channel) without per-item tensors.
-void col2im_into(const float* cols, std::int64_t c, std::int64_t h,
-                 std::int64_t w, std::int64_t kh, std::int64_t kw,
-                 std::int64_t stride, std::int64_t pad, float* out,
-                 std::int64_t c0, std::int64_t c1);
 
 // ---- Spatial resampling (NCHW, single image [C,H,W]) ---------------------------
 /// 2x nearest-neighbour upsample.

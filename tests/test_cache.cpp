@@ -364,6 +364,39 @@ TEST(Fingerprint, SeparatesPatcherThresholdAndWeights) {
   EXPECT_NE(reseeded.result, base.result);
 }
 
+TEST(Fingerprint, SeparatesBatchNormRunningStatistics) {
+  // Identical weights, different batch-norm running statistics: one
+  // training-mode forward on `a` moves them, which changes a's eval logits,
+  // so the two models must not share result-tier entries.
+  Rig a, b;
+  const serve::EngineConfig ecfg = a.engine_config();
+  const std::uint64_t seed = 11;
+  EXPECT_EQ(serve::compute_engine_fingerprint(a.model, ecfg.patcher, 0.5f,
+                                              seed)
+                .result,
+            serve::compute_engine_fingerprint(b.model, ecfg.patcher, 0.5f,
+                                              seed)
+                .result);
+  const core::TokenBatch batch = core::make_batch(
+      {core::AdaptivePatcher(ecfg.patcher).process(a.images(1)[0])});
+  {
+    NoGradGuard ng;
+    Rng fwd(0);
+    a.model.forward(batch, fwd);  // training mode: batch statistics
+  }
+  const auto pa = a.model.parameters();
+  const auto pb = b.model.parameters();
+  for (std::size_t i = 0; i < pa.size(); ++i)
+    for (std::int64_t j = 0; j < pa[i].numel(); ++j)
+      ASSERT_EQ(pa[i].val()[j], pb[i].val()[j]) << "param " << i;
+  const serve::EngineFingerprint fa =
+      serve::compute_engine_fingerprint(a.model, ecfg.patcher, 0.5f, seed);
+  const serve::EngineFingerprint fb =
+      serve::compute_engine_fingerprint(b.model, ecfg.patcher, 0.5f, seed);
+  EXPECT_EQ(fa.patch, fb.patch);
+  EXPECT_NE(fa.result, fb.result);
+}
+
 // ------------------------------------------------- engine path, bitwise
 
 TEST(EngineCache, WarmRunIsBitwiseIdenticalToColdAndSkipsForwards) {

@@ -1,11 +1,15 @@
 // NN layer tests: shapes, gradients via gradcheck, module registration,
-// Conv2d's banded forward against a scalar loop, attention behaviour under
-// masks, batch-norm statistics, and optimizer convergence on analytic
-// problems.
+// the banded Conv2d and ConvTranspose2d forwards against scalar loops, the
+// grad-free batch norm + ReLU epilogue against the taped ops (bitwise),
+// attention behaviour under masks, batch-norm statistics, and optimizer
+// convergence on analytic problems.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "core/thread_pool.h"
 #include "gradcheck.h"
@@ -36,6 +40,19 @@ TEST(Module, TrainingModePropagates) {
   EXPECT_TRUE(mlp.training());
   mlp.set_training(false);
   EXPECT_FALSE(mlp.training());
+}
+
+TEST(Module, BuffersAreNamedAndShareStorage) {
+  BatchNorm2d bn(3);
+  ASSERT_EQ(bn.named_buffers("b1").size(), 2u);
+  EXPECT_EQ(bn.named_buffers("b1")[0].first, "b1.running_mean");
+  EXPECT_EQ(bn.named_buffers("b1")[1].first, "b1.running_var");
+  EXPECT_EQ(bn.parameters().size(), 2u);  // gamma, beta: not the buffers
+  Rng rng(4);
+  bn.forward(Var::constant(Tensor::randn({2, 3, 4, 4}, rng, 2.f, 1.f)));
+  const auto buffers = bn.named_buffers();
+  EXPECT_TRUE(buffers[0].second.shares_storage(bn.running_mean()));
+  EXPECT_NE(buffers[0].second[0], 0.f);  // moved by the training forward
 }
 
 TEST(Linear, ForwardShape2dAnd3d) {
@@ -313,14 +330,14 @@ TEST(Conv2d, ForwardMatchesScalarLoopAcrossBandsAndThreads) {
 
 TEST(ConvTranspose2d, UpsamplesShape) {
   Rng rng(17);
-  ConvTranspose2d up(4, 2, 2, 2, rng);
+  ConvTranspose2d up(4, 2, rng);
   Var x = Var::constant(Tensor::zeros({1, 4, 3, 3}));
   EXPECT_EQ(up.forward(x).shape(), (Shape{1, 2, 6, 6}));
 }
 
 TEST(ConvTranspose2d, GradCheck) {
   Rng rng(18);
-  ConvTranspose2d up(2, 2, 2, 2, rng);
+  ConvTranspose2d up(2, 2, rng);
   Var x = Var::param(Tensor::randn({1, 2, 3, 3}, rng, 0.f, 0.5f));
   auto params = up.parameters();
   params.push_back(x);
@@ -337,7 +354,7 @@ TEST(ConvTranspose2d, AdjointOfConv) {
   // <conv(x), y> == <x, convT(y)>.
   Rng rng(19);
   Conv2d conv(1, 1, 2, 2, 0, rng, false);
-  ConvTranspose2d convt(1, 1, 2, 2, rng, false);
+  ConvTranspose2d convt(1, 1, rng, false);
   // Copy conv's kernel [1, 1*2*2] into convT's [1, 1*2*2] (same layout).
   convt.parameters()[0].val_mut().copy_from(conv.parameters()[0].val());
   Tensor x = Tensor::randn({1, 1, 4, 4}, rng);
@@ -349,6 +366,177 @@ TEST(ConvTranspose2d, AdjointOfConv) {
   for (std::int64_t i = 0; i < 4; ++i) lhs += cx.val()[i] * y[i];
   for (std::int64_t i = 0; i < 16; ++i) rhs += x[i] * cty.val()[i];
   EXPECT_NEAR(lhs, rhs, 1e-3 * std::max(1.0, std::fabs(lhs)));
+}
+
+TEST(ConvTranspose2d, ForwardMatchesScalarLoopAcrossBandsAndThreads) {
+  // Each output pixel (2r + ki, 2c + kj) of channel o takes exactly one
+  // column entry: 0.f + sum over input channels of w * x, then the bias.
+  // The shape ends on a short band of input rows (h % conv_band_rows(
+  // out_c*2*2, w) != 0, checked below).
+  const std::int64_t in_c = 4, out_c = 8, h = 50, w = 45;
+  const std::int64_t band = conv_band_rows(out_c * 4, w);
+  ASSERT_GT(h, band);
+  ASSERT_NE(h % band, 0);
+  struct RestoreThreads {
+    ~RestoreThreads() { set_num_threads(0); }
+  } restore;
+  const bool exact = active_gemm_backend().bitwise_exact();
+  Rng rng(22);
+  ConvTranspose2d up(in_c, out_c, rng);
+  up.parameters()[1].val_mut().copy_from(Tensor::randn({out_c}, rng));
+  const Tensor& wt = up.parameters()[0].val();
+  const Tensor& bias = up.parameters()[1].val();
+  const Tensor x = Tensor::randn({2, in_c, h, w}, rng);
+  Tensor want({2, out_c, 2 * h, 2 * w});
+  for (std::int64_t i = 0; i < 2; ++i)
+    for (std::int64_t o = 0; o < out_c; ++o)
+      for (std::int64_t oi = 0; oi < 2 * h; ++oi)
+        for (std::int64_t oj = 0; oj < 2 * w; ++oj) {
+          float acc = 0.f;
+          for (std::int64_t ch = 0; ch < in_c; ++ch) {
+            volatile float prod = wt.at({ch, (o * 2 + oi % 2) * 2 + oj % 2}) *
+                                  x.at({i, ch, oi / 2, oj / 2});
+            acc += prod;
+          }
+          want.at({i, o, oi, oj}) = (0.f + acc) + bias[o];
+        }
+  for (const int threads : {1, 2, 7}) {
+    set_num_threads(threads);
+    NoGradGuard ng;
+    const Tensor got = up.forward(Var::constant(x)).val();
+    ASSERT_EQ(got.shape(), want.shape());
+    for (std::int64_t j = 0; j < want.numel(); ++j) {
+      if (exact) {
+        ASSERT_EQ(got[j], want[j]) << "threads=" << threads << " at " << j;
+      } else {
+        ASSERT_NEAR(got[j], want[j], 1e-4f * (1.f + std::fabs(want[j])))
+            << "threads=" << threads << " at " << j;
+      }
+    }
+  }
+}
+
+// ------------------------------------------ fused batch norm + ReLU epilogue
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+// An eval batch norm whose constants are not the init ones: random gamma
+// and beta, running statistics moved by two training-mode forwards over
+// the layer's output on shifted inputs.
+template <class Layer>
+void make_bn_nontrivial(BatchNorm2d& bn, const Layer& layer,
+                        const Shape& in_shape, Rng& rng) {
+  bn.set_training(true);
+  for (int rep = 0; rep < 2; ++rep) {
+    const Tensor x = Tensor::randn(in_shape, rng, 0.7f, 1.5f);
+    bn.forward(layer.forward(Var::constant(x)));
+  }
+  bn.set_training(false);
+  Tensor& gamma = bn.parameters()[0].val_mut();
+  Tensor& beta = bn.parameters()[1].val_mut();
+  for (std::int64_t ch = 0; ch < gamma.numel(); ++ch) {
+    gamma[ch] = rng.normal(1.f, 0.5f);
+    beta[ch] = rng.normal(0.f, 0.3f);
+  }
+}
+
+// The grad-free fused layer (conv band loop + bias + eval batch norm +
+// ReLU in each band's epilogue) against the taped relu(bn(layer(x))), bit
+// for bit on every backend (both run the same band loop and gemm calls).
+// Every shape has an output width that is not a multiple of the 4 vector
+// lanes and ends on a short band.
+template <class Layer>
+void expect_fused_matches_taped(const Layer& layer, BatchNorm2d& bn,
+                                const Shape& in_shape, Rng& rng,
+                                const char* what) {
+  make_bn_nontrivial(bn, layer, in_shape, rng);
+  ASSERT_NE(bn.running_mean()[0], 0.f);
+  ASSERT_NE(bn.running_var()[0], 1.f);
+  struct RestoreThreads {
+    ~RestoreThreads() { set_num_threads(0); }
+  } restore;
+  const Tensor x = Tensor::randn(in_shape, rng);
+  const Tensor want =
+      ag::relu(bn.forward(layer.forward(Var::constant(x)))).val();
+  ASSERT_NE(want.size(3) % 4, 0) << what;
+  for (const int threads : {1, 2, 7}) {
+    set_num_threads(threads);
+    NoGradGuard ng;
+    const Tensor got = layer.forward_bn_relu(Var::constant(x), bn).val();
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    for (std::int64_t i = 0; i < want.numel(); ++i) {
+      ASSERT_EQ(float_bits(got[i]), float_bits(want[i]))
+          << what << " threads=" << threads << " at " << i << ": "
+          << got[i] << " vs " << want[i];
+    }
+  }
+}
+
+TEST(FusedEpilogue, Conv3x3BnReluBitwiseMatchesTapedOps) {
+  Rng rng(30);
+  Conv2d conv(4, 8, 3, 1, 1, rng);
+  conv.parameters()[1].val_mut().copy_from(Tensor::randn({8}, rng));
+  BatchNorm2d bn(8);
+  const std::int64_t band = conv_band_rows(4 * 9, 45);
+  ASSERT_NE(50 % band, 0);
+  ASSERT_GT(50, band);
+  expect_fused_matches_taped(conv, bn, {2, 4, 50, 45}, rng, "conv3x3");
+}
+
+TEST(FusedEpilogue, Conv1x1BnReluBitwiseMatchesTapedOps) {
+  Rng rng(31);
+  Conv2d conv(16, 6, 1, 1, 0, rng);
+  conv.parameters()[1].val_mut().copy_from(Tensor::randn({6}, rng));
+  BatchNorm2d bn(6);
+  const std::int64_t band = conv_band_rows(16, 45);
+  ASSERT_NE(100 % band, 0);
+  ASSERT_GT(100, band);
+  expect_fused_matches_taped(conv, bn, {2, 16, 100, 45}, rng, "conv1x1");
+}
+
+TEST(FusedEpilogue, ConvTranspose2x2BnReluBitwiseMatchesTapedOps) {
+  Rng rng(32);
+  ConvTranspose2d up(4, 8, rng);
+  up.parameters()[1].val_mut().copy_from(Tensor::randn({8}, rng));
+  BatchNorm2d bn(8);
+  const std::int64_t band = conv_band_rows(8 * 4, 45);
+  ASSERT_NE(50 % band, 0);
+  ASSERT_GT(50, band);
+  expect_fused_matches_taped(up, bn, {2, 4, 50, 45}, rng, "convT2x2");
+}
+
+TEST(FusedEpilogue, RequiresGradOffAndEvalBatchNorm) {
+  Rng rng(33);
+  Conv2d conv(2, 3, 3, 1, 1, rng);
+  BatchNorm2d bn(3);
+  const Var x = Var::constant(Tensor::randn({1, 2, 5, 5}, rng));
+  {
+    NoGradGuard ng;  // training-mode batch norm needs batch statistics
+    EXPECT_THROW(conv.forward_bn_relu(x, bn), detail::CheckError);
+  }
+  bn.set_training(false);
+  EXPECT_THROW(conv.forward_bn_relu(x, bn), detail::CheckError);  // grad on
+  BatchNorm2d wrong(4);
+  wrong.set_training(false);
+  NoGradGuard ng;
+  EXPECT_THROW(conv.forward_bn_relu(x, wrong), detail::CheckError);
+}
+
+TEST(ConvEpilogueRow, ReluMapsNegativeZeroAndNaNToPositiveZero) {
+  // An identity batch norm keeps NaN a NaN and -0 a -0 (-0 - 0 = -0, and
+  // -0 * 1 = -0; only the + 0 beta makes it +0), so the ReLU's
+  // compare-select decides.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  float y[7] = {-0.f, nan, -1.f, 2.f, 0.f, -nan, 3.5f};
+  const ops::BnChannel identity{0.f, 1.f, 1.f, 0.f};
+  ops::conv_epilogue_row(y, 7, nullptr, &identity);
+  const float want[7] = {0.f, 0.f, 0.f, 2.f, 0.f, 0.f, 3.5f};
+  for (int i = 0; i < 7; ++i)
+    EXPECT_EQ(float_bits(y[i]), float_bits(want[i])) << "at " << i;
 }
 
 TEST(MaxPool2d, ForwardAndGrad) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -16,6 +17,8 @@
 #include "img/draw.h"
 #include "img/filters.h"
 #include "img/resize.h"
+#include "models/unetr.h"
+#include "nn/conv.h"
 #include "nn/layers.h"
 #include "nn/serialize.h"
 #include "quadtree/quadtree.h"
@@ -345,6 +348,109 @@ TEST(Checkpoint, LoadFailureLeavesModuleUntouched) {
   // Staged loading: failure must not half-update the module.
   for (std::int64_t j = 0; j < before.numel(); ++j)
     EXPECT_EQ(b.parameters()[0].val()[j], before[j]);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, TruncatedBufferDataLeavesModuleUntouched) {
+  // A batch norm's file ends with its running_var data, so cutting the
+  // last 8 bytes truncates inside that buffer, after every parameter and
+  // running_mean were read. Staged loading must leave b's parameters and
+  // running statistics exactly as they were.
+  Rng rng(11);
+  nn::BatchNorm2d a(4), b(4);
+  for (nn::BatchNorm2d* bn : {&a, &b}) {
+    for (Var& p : bn->parameters())
+      p.val_mut().copy_from(Tensor::randn({4}, rng));
+    bn->forward(Var::constant(Tensor::randn({2, 4, 3, 3}, rng, 0.5f, 2.f)));
+  }
+  std::vector<Tensor> before;
+  for (const Var& p : b.parameters()) before.push_back(p.val().clone());
+  for (const auto& [name, t] : b.named_buffers()) before.push_back(t.clone());
+  ASSERT_EQ(before.size(), 4u);
+  const std::string path = tmp_path("apf_ckpt_trunc_buffers.bin");
+  nn::save_parameters(a, path);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 8);
+  try {
+    nn::load_parameters(b, path);
+    ADD_FAILURE() << "a truncated checkpoint loaded";
+  } catch (const detail::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated at 'running_var'"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+  std::vector<Tensor> after;
+  for (const Var& p : b.parameters()) after.push_back(p.val());
+  for (const auto& [name, t] : b.named_buffers()) after.push_back(t);
+  for (std::size_t i = 0; i < before.size(); ++i)
+    for (std::int64_t j = 0; j < before[i].numel(); ++j)
+      EXPECT_EQ(after[i][j], before[i][j]) << "tensor " << i << " at " << j;
+}
+
+TEST(Checkpoint, RoundTripKeepsBatchNormRunningStatistics) {
+  // One training-mode forward moves every batch norm's running statistics
+  // in `a`. A checkpoint carries them (buffers) along with the parameters,
+  // so `b`, identically initialised but never run, reloads into a model
+  // whose eval logits equal a's bit for bit.
+  const std::int64_t z = 64, patch = 4;
+  models::UnetrConfig cfg;
+  cfg.enc.token_dim = 3 * patch * patch;
+  cfg.enc.d_model = 32;
+  cfg.enc.depth = 2;
+  cfg.enc.heads = 4;
+  cfg.image_size = z;
+  cfg.grid = 8;
+  cfg.base_channels = 8;
+  Rng ra(5), rb(5);
+  models::Unetr2d a(cfg, ra);
+  models::Unetr2d b(cfg, rb);
+  data::PaipConfig pc;
+  pc.resolution = z;
+  core::ApfConfig acfg;
+  acfg.patch_size = patch;
+  acfg.min_patch = patch;
+  acfg.max_depth = 6;
+  const img::Image image = data::SyntheticPaip(pc).sample(0).image;
+  const core::TokenBatch batch =
+      core::make_batch({core::AdaptivePatcher(acfg).process(image)});
+  {
+    Rng fwd(0);
+    a.forward(batch, fwd);  // training mode: batch statistics
+  }
+  const std::string path = tmp_path("apf_ckpt_bn.bin");
+  nn::save_parameters(a, path);
+  nn::load_parameters(b, path);
+  std::remove(path.c_str());
+  a.set_training(false);
+  b.set_training(false);
+  NoGradGuard ng;
+  Rng fa(1), fb(1);
+  const Tensor la = a.forward(batch, fa).val();
+  const Tensor lb = b.forward(batch, fb).val();
+  ASSERT_EQ(la.shape(), lb.shape());
+  for (std::int64_t i = 0; i < la.numel(); ++i)
+    ASSERT_EQ(std::memcmp(&la.data()[i], &lb.data()[i], sizeof(float)), 0)
+        << "logit " << i << ": " << la[i] << " vs " << lb[i];
+}
+
+TEST(Checkpoint, RejectsFileWithoutBuffers) {
+  // The format before buffers were saved ("APF_CKPT" magic) cannot restore
+  // batch-norm running statistics, so loading it fails loudly.
+  Rng rng(10);
+  nn::Mlp m(4, 8, rng);
+  const std::string path = tmp_path("apf_ckpt_v1.bin");
+  {
+    std::ofstream f(path, std::ios::binary);
+    const std::uint64_t v1_magic = 0x4150465f434b5054ULL;
+    f.write(reinterpret_cast<const char*>(&v1_magic), sizeof v1_magic);
+  }
+  try {
+    nn::load_parameters(m, path);
+    ADD_FAILURE() << "a checkpoint without buffers loaded";
+  } catch (const detail::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("re-save"), std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 
