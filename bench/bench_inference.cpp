@@ -276,7 +276,7 @@ int main(int argc, char** argv) {
     double img_s = 0.0;
     double serial_img_s = 0.0;    // best serial round of the SAME sweep
     double speedup = 0.0;         // median of the per-round ratios
-    serve::InferenceStats pass;   // best round's delta stats
+    serve::InferenceStats pass;   // best round's stats_since_last()
     serve::InferenceStats window; // whole-lifetime stats (scheduler view)
   };
   constexpr int kRounds = 5;
@@ -299,7 +299,7 @@ int main(int argc, char** argv) {
     run.cfg = scfg;
     serve::Server server(model, scfg);
     for (auto& f : server.submit_many(images)) f.get();  // warm-up
-    serve::InferenceStats prev = server.stats();
+    (void)server.stats_since_last();  // each round's window starts here
     double serial_best_wall = 0.0;
     std::vector<double> round_ratios;
     for (int rep = 0; rep < kRounds; ++rep) {
@@ -318,18 +318,11 @@ int main(int argc, char** argv) {
       for (auto& f : futures) f.get();
       const double wall = sw.seconds();
       if (wall > 0.0) round_ratios.push_back(serial_wall / wall);
-      serve::InferenceStats now = server.stats();
+      serve::InferenceStats pass = server.stats_since_last();
       if (run.wall == 0.0 || wall < run.wall) {
         run.wall = wall;
-        run.pass = now;
-        run.pass.images -= prev.images;
-        run.pass.batches -= prev.batches;
-        run.pass.tokens -= prev.tokens;
-        run.pass.padded_tokens -= prev.padded_tokens;
-        run.pass.forward_seconds -= prev.forward_seconds;
-        run.pass.model_flops -= prev.model_flops;
+        run.pass = std::move(pass);
       }
-      prev = now;
     }
     run.window = server.stats();
     run.img_s =
@@ -406,62 +399,6 @@ int main(int argc, char** argv) {
   std::printf("server vs serial speedup (min over worker counts): %.3fx\n",
               min_speedup);
 
-  // --- Content-addressed cache: duplicate-heavy warm pass. Production
-  // tile serving re-sees pixels constantly (overlapping viewports, retry
-  // storms, shared slides); the result tier answers an exact duplicate
-  // from submit() without touching the queue or a worker. The cold pass
-  // measures this server's miss-path throughput on fresh pixels; the warm
-  // pass replays the same images kWarmRepeats times. Per-pass hit rates
-  // come from the stats_since_last() window API.
-  double cache_cold_img_s = 0.0, cache_warm_img_s = 0.0;
-  double cache_hit_rate = 0.0, cache_warm_vs_cold = 0.0;
-  {
-    constexpr int kWarmRepeats = 4;
-    serve::ServerConfig scfg;
-    scfg.engine = ecfg;
-    scfg.num_workers = 2;
-    scfg.max_queue = 64;
-    scfg.bucket_granularity = 1;
-    scfg.cache.capacity_bytes = 256ll << 20;
-    serve::Server server(model, scfg);
-    // Untimed warm-up on DISJOINT pixels: spawns threads and faults the
-    // arenas without seeding the cache with the measured images.
-    std::vector<img::Image> unrelated;
-    for (std::int64_t i = 0; i < 8; ++i)
-      unrelated.push_back(gen.sample(1000 + i).image);
-    for (auto& f : server.submit_many(unrelated)) f.get();
-    (void)server.stats_since_last();  // open a fresh window
-
-    bench::Stopwatch cold_sw;
-    for (auto& f : server.submit_many(images)) f.get();
-    const double cold_wall = cold_sw.seconds();
-    const serve::InferenceStats cold = server.stats_since_last();
-
-    bench::Stopwatch warm_sw;
-    for (int rep = 0; rep < kWarmRepeats; ++rep)
-      for (auto& f : server.submit_many(images)) f.get();
-    const double warm_wall = warm_sw.seconds();
-    const serve::InferenceStats warm = server.stats_since_last();
-
-    cache_cold_img_s = cold_wall > 0.0
-                           ? static_cast<double>(images.size()) / cold_wall
-                           : 0.0;
-    cache_warm_img_s =
-        warm_wall > 0.0
-            ? static_cast<double>(kWarmRepeats * images.size()) / warm_wall
-            : 0.0;
-    cache_hit_rate = warm.result_cache_hit_rate();
-    cache_warm_vs_cold =
-        cache_cold_img_s > 0.0 ? cache_warm_img_s / cache_cold_img_s : 0.0;
-    std::printf(
-        "cache (2 workers, result+patch tiers): cold %.2f img/s "
-        "(hit rate %.2f), warm %.2f img/s (hit rate %.2f, %lld hits) "
-        "-> %.1fx warm/cold; %.1f KiB cached\n",
-        cache_cold_img_s, cold.result_cache_hit_rate(), cache_warm_img_s,
-        cache_hit_rate, static_cast<long long>(warm.result_cache_hits),
-        cache_warm_vs_cold, static_cast<double>(warm.cache_bytes) / 1024.0);
-  }
-
   // The best-throughput configuration is the headline "server" entry the
   // trajectory diff gates on; the full sweep rides along under
   // "server_runs". server_vs_serial_speedup is the MIN ratio over worker
@@ -526,10 +463,6 @@ int main(int argc, char** argv) {
            << "}";
     }
     json << "\n  ],\n"
-         << "  \"cache\": {\"hit_rate\": " << cache_hit_rate
-         << ", \"cold_img_per_sec\": " << cache_cold_img_s
-         << ", \"warm_img_per_sec\": " << cache_warm_img_s
-         << ", \"warm_vs_cold\": " << cache_warm_vs_cold << "},\n"
          << "  \"server_vs_serial_speedup\": " << min_speedup << "\n}\n";
   }
   std::printf("wrote BENCH_serving.json\n");

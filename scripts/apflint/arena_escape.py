@@ -7,7 +7,7 @@ ArenaPauseGuard first. InferenceEngine::forward is the canonical
 compliant shape:
 
     ArenaScope arena;
-    Var logits = model_.forward(batch, rng_);
+    Var logits = model_.forward(batch, rng);
     ArenaPauseGuard heap;          // allocation falls back to the heap
     return logits.val().clone();   // OK: the clone is heap-owned
 

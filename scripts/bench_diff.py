@@ -48,13 +48,6 @@ CONTEXT = [
     ("server GFLOP/s (busy)", ("server", "gflops_per_sec_busy")),
     ("serial padding ratio", ("serial", "padding_ratio")),
     ("server padding ratio", ("server", "padding_ratio")),
-    # Cache rows are report-only: warm img/s rides on host speed like every
-    # absolute number, and the hit rate is a workload property of the
-    # bench's duplicate-heavy replay, not a code-quality gradient.
-    ("cache hit rate (warm)", ("cache", "hit_rate")),
-    ("cache cold img/s", ("cache", "cold_img_per_sec")),
-    ("cache warm img/s", ("cache", "warm_img_per_sec")),
-    ("cache warm/cold", ("cache", "warm_vs_cold")),
 ]
 
 

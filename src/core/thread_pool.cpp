@@ -56,7 +56,6 @@ namespace {
 using detail::GroupState;
 using detail::Job;
 
-thread_local bool t_on_pool = false;
 thread_local int t_worker_index = -1;  // -1 = not a pool worker
 thread_local int t_limit = 0;
 
@@ -332,7 +331,6 @@ struct ThreadPool::Impl {
   }
 
   void worker_main(int index) {
-    t_on_pool = true;
     t_worker_index = index;
     for (;;) {
       std::uint64_t seen;
@@ -407,8 +405,6 @@ ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;
 }
-
-bool ThreadPool::on_pool_thread() { return t_on_pool; }
 
 int ThreadPool::worker_count() const {
   return impl_->spawned_count.load(std::memory_order_acquire);

@@ -191,9 +191,6 @@ class ThreadPool {
         const_cast<void*>(static_cast<const void*>(&f)), kind);
   }
 
-  /// True on a pool worker thread (diagnostics).
-  static bool on_pool_thread();
-
   /// Spawned worker threads (monotone; excludes participating callers).
   int worker_count() const;
 

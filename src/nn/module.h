@@ -62,4 +62,20 @@ class Module {
   bool training_ = true;
 };
 
+/// RAII: switches a module to eval mode for a scope, then restores the
+/// mode it had.
+class EvalGuard {
+ public:
+  explicit EvalGuard(Module& m) : m_(m), was_(m.training()) {
+    m_.set_training(false);
+  }
+  ~EvalGuard() { m_.set_training(was_); }
+  EvalGuard(const EvalGuard&) = delete;
+  EvalGuard& operator=(const EvalGuard&) = delete;
+
+ private:
+  Module& m_;
+  bool was_;
+};
+
 }  // namespace apf::nn

@@ -9,13 +9,14 @@
 #include "core/check.h"
 #include "core/thread_annotations.h"
 #include "tensor/arena.h"
+#include "tensor/gemm_backend.h"
 
 namespace apf::serve {
 
 namespace detail {
 
 /// Sharded, byte-accounted LRU. Each shard owns its own mutex, list and
-/// index; a key maps to exactly one shard (key.lo % shards), so every
+/// index; a key maps to exactly one shard (key.lo % kShards), so every
 /// operation takes exactly one lock and never holds it across a call
 /// out — the cache contributes no edges to the lock-order graph.
 ///
@@ -27,10 +28,11 @@ namespace detail {
 template <typename V>
 class LruTier {
  public:
-  LruTier(int shards, std::int64_t capacity_bytes)
-      : shard_capacity_((capacity_bytes + shards - 1) / shards) {
-    shards_.reserve(static_cast<std::size_t>(shards));
-    for (int i = 0; i < shards; ++i) {
+  explicit LruTier(std::int64_t capacity_bytes)
+      : shard_capacity_((capacity_bytes + InferenceCache::kShards - 1) /
+                        InferenceCache::kShards) {
+    shards_.reserve(InferenceCache::kShards);
+    for (int i = 0; i < InferenceCache::kShards; ++i) {
       shards_.push_back(std::make_unique<Shard>());
     }
   }
@@ -122,6 +124,9 @@ template class LruTier<CachedResult>;
 
 namespace {
 
+/// Seed of every content hash the cache keys on.
+constexpr std::uint64_t kSeed = 0x9e3779b97f4a7c15ULL;
+
 /// Fixed per-entry bookkeeping charge: list/map nodes, metadata structs,
 /// tensor headers. An estimate — the budget bounds payload bytes, which
 /// dominate; the charge just keeps many tiny entries from reading as free.
@@ -152,8 +157,8 @@ core::PatchSequence clone_sequence(const core::PatchSequence& seq) {
 
 EngineFingerprint compute_engine_fingerprint(
     const models::TokenSegModel& model, const core::ApfConfig& patcher,
-    float mask_threshold, std::uint64_t seed) {
-  core::Hasher h(seed);
+    float mask_threshold) {
+  core::Hasher h(detail::kSeed);
   h.update_str("apf-engine-fingerprint-v1");
 
   // Patcher identity: every ApfConfig field, in declaration order.
@@ -209,34 +214,20 @@ EngineFingerprint compute_engine_fingerprint(
   return fp;
 }
 
-InferenceCache::InferenceCache(CacheConfig cfg) : cfg_(cfg) {
-  APF_CHECK(cfg_.capacity_bytes >= 0,
-            "InferenceCache: capacity_bytes must be >= 0, got "
-                << cfg_.capacity_bytes);
-  APF_CHECK(cfg_.shards > 0,
-            "InferenceCache: shards must be positive, got " << cfg_.shards);
-  if (cfg_.enabled() && cfg_.patch_tier) {
-    patch_tier_ = std::make_unique<detail::LruTier<core::PatchSequence>>(
-        cfg_.shards, cfg_.capacity_bytes);
-  }
-  if (cfg_.enabled() && cfg_.result_tier) {
-    result_tier_ = std::make_unique<detail::LruTier<CachedResult>>(
-        cfg_.shards, cfg_.capacity_bytes);
-  }
+InferenceCache::InferenceCache(CacheConfig cfg) {
+  APF_CHECK(cfg.capacity_bytes > 0,
+            "InferenceCache: capacity_bytes must be positive, got "
+                << cfg.capacity_bytes);
+  patch_tier_ = std::make_unique<detail::LruTier<core::PatchSequence>>(
+      cfg.capacity_bytes);
+  result_tier_ =
+      std::make_unique<detail::LruTier<CachedResult>>(cfg.capacity_bytes);
 }
 
 InferenceCache::~InferenceCache() = default;
 
-bool InferenceCache::patch_tier_enabled() const {
-  return patch_tier_ != nullptr;
-}
-
-bool InferenceCache::result_tier_enabled() const {
-  return result_tier_ != nullptr;
-}
-
-core::Digest128 InferenceCache::image_key(const img::Image& image) const {
-  core::Hasher h(cfg_.seed);
+core::Digest128 InferenceCache::image_key(const img::Image& image) {
+  core::Hasher h(detail::kSeed);
   h.update_str("image");
   h.update_i64(image.h);
   h.update_i64(image.w);
@@ -245,15 +236,36 @@ core::Digest128 InferenceCache::image_key(const img::Image& image) const {
   return h.digest();
 }
 
+core::Digest128 InferenceCache::patch_key(const EngineFingerprint& fp,
+                                          const core::Digest128& image_key) {
+  return core::combine(image_key, fp.patch, detail::kSeed);
+}
+
+core::Digest128 InferenceCache::result_key(const EngineFingerprint& fp,
+                                           const core::Digest128& image_key) {
+  core::Hasher h(detail::kSeed);
+  h.update_digest(fp.result);
+  h.update_digest(image_key);
+  // Backend bitwise class: reference and avx2 certify bitwise_exact()
+  // and are bitwise-identical to each other, so they share entries under
+  // one label; the tolerance-grade fma backend keys by name so its
+  // numerically different logits never serve a bitwise-exact request.
+  const GemmBackend& backend = active_gemm_backend();
+  if (backend.bitwise_exact()) {
+    h.update_str("bitwise-exact");
+  } else {
+    h.update_str(backend.name());
+  }
+  return h.digest();
+}
+
 std::optional<core::PatchSequence> InferenceCache::get_patch(
     const core::Digest128& key) const {
-  if (!patch_tier_) return std::nullopt;
   return patch_tier_->get(key);
 }
 
 void InferenceCache::put_patch(const core::Digest128& key,
                                const core::PatchSequence& seq) const {
-  if (!patch_tier_) return;
   // Pause+clone: the sequence may live in the caller's ArenaScope; the
   // cached copy must own ordinary heap storage (escape rule,
   // tensor/arena.h).
@@ -263,7 +275,6 @@ void InferenceCache::put_patch(const core::Digest128& key,
 
 std::optional<CachedResult> InferenceCache::get_result(
     const core::Digest128& key) const {
-  if (!result_tier_) return std::nullopt;
   std::optional<CachedResult> hit = result_tier_->get(key);
   if (!hit) return std::nullopt;
   // Deep-copy OUT: callers own their result and may write through the
@@ -280,7 +291,6 @@ std::optional<CachedResult> InferenceCache::get_result(
 
 void InferenceCache::put_result(const core::Digest128& key,
                                 const CachedResult& value) const {
-  if (!result_tier_) return;
   ArenaPauseGuard heap;
   CachedResult stored;
   stored.logits = value.logits.clone();
@@ -291,8 +301,8 @@ void InferenceCache::put_result(const core::Digest128& key,
 
 CacheStats InferenceCache::stats() const {
   CacheStats out;
-  if (patch_tier_) out.patch = patch_tier_->stats();
-  if (result_tier_) out.result = result_tier_->stats();
+  out.patch = patch_tier_->stats();
+  out.result = result_tier_->stats();
   return out;
 }
 

@@ -12,7 +12,8 @@
 //   ResultCache  hash(result_fingerprint, image_hash, backend_class)
 //                -> CachedResult  (exact duplicates skip the forward)
 //
-// Key derivation (core/hash.h, seeded + platform-stable):
+// Key derivation (core/hash.h, platform-stable, under one fixed seed
+// private to cache.cpp):
 //   image_hash          = H(h, w, c, pixel bits)
 //   patch_fingerprint   = H(every ApfConfig field)
 //   result_fingerprint  = H(patch_fp, model identity: expected size +
@@ -32,10 +33,10 @@
 // must outlive any live ArenaScope) and deep-copy OUT on result hits
 // (callers own their logits and may mutate them).
 //
-// Concurrency: N shards, each a byte-accounted LRU under its own
-// apf::Mutex (TSA-annotated; see cache.cpp). A shard lock is the only
-// lock any cache operation holds, and never while calling out, so the
-// cache adds no edges to the process lock-order graph.
+// Concurrency: each tier is InferenceCache::kShards byte-accounted LRU
+// shards, each under its own apf::Mutex (TSA-annotated; see cache.cpp). A
+// shard lock is the only lock any cache operation holds, and never while
+// calling out, so the cache adds no edges to the process lock-order graph.
 
 #include <cstdint>
 #include <memory>
@@ -49,23 +50,12 @@
 
 namespace apf::serve {
 
-/// Cache knobs, embedded in ServerConfig. capacity_bytes == 0 disables
-/// caching entirely (the default: serving behavior is unchanged unless
-/// asked for). Validated by InferenceCache's constructor: shards must be
-/// positive, capacity_bytes non-negative.
+/// The cache's one knob, embedded in ServerConfig (where 0, the default,
+/// means no cache). InferenceCache's constructor rejects a budget <= 0.
 struct CacheConfig {
-  /// Total byte budget across both tiers (split evenly over shards,
-  /// per tier). 0 = caching disabled.
+  /// Byte budget of EACH tier, split evenly over InferenceCache::kShards
+  /// shards: a full cache holds up to twice this many bytes.
   std::int64_t capacity_bytes = 0;
-  bool patch_tier = true;   ///< cache unpadded PatchSequences
-  bool result_tier = true;  ///< cache whole per-image results
-  int shards = 8;           ///< independent LRU shards per tier
-  /// Seed for every content hash; rotating it invalidates all keys.
-  std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-
-  bool enabled() const {
-    return capacity_bytes > 0 && (patch_tier || result_tier);
-  }
 };
 
 /// Monotonic counters + current gauges for one tier. Counters only ever
@@ -114,11 +104,11 @@ struct EngineFingerprint {
 
 /// Hashes the full serving identity: every ApfConfig field, the model's
 /// expected geometry + encoder spec + every parameter and buffer tensor
-/// (shape and value bits), and the decode threshold. Deterministic and seeded;
-/// computed once per engine when a cache is attached.
+/// (shape and value bits), and the decode threshold. Deterministic;
+/// computed once per engine when it is built with a cache.
 EngineFingerprint compute_engine_fingerprint(
     const models::TokenSegModel& model, const core::ApfConfig& patcher,
-    float mask_threshold, std::uint64_t seed);
+    float mask_threshold);
 
 namespace detail {
 template <typename V>
@@ -131,17 +121,24 @@ class LruTier;  // sharded byte-accounted LRU; defined in cache.cpp
 /// mutation beyond the cache contents themselves.
 class InferenceCache {
  public:
+  /// LRU shards per tier; a key's shard is key.lo % kShards.
+  static constexpr int kShards = 8;
+
+  /// Throws detail::CheckError unless cfg.capacity_bytes > 0.
   explicit InferenceCache(CacheConfig cfg);
   ~InferenceCache();
   InferenceCache(const InferenceCache&) = delete;
   InferenceCache& operator=(const InferenceCache&) = delete;
 
-  const CacheConfig& config() const { return cfg_; }
-  bool patch_tier_enabled() const;
-  bool result_tier_enabled() const;
-
-  /// Content hash of one image (dims + pixel bits) under the cache seed.
-  core::Digest128 image_key(const img::Image& image) const;
+  /// Content hash of one image (dims + pixel bits).
+  static core::Digest128 image_key(const img::Image& image);
+  /// Patch-tier key of an image under an engine's fingerprint.
+  static core::Digest128 patch_key(const EngineFingerprint& fp,
+                                   const core::Digest128& image_key);
+  /// Result-tier key of an image under an engine's fingerprint and the
+  /// active gemm backend's bitwise class.
+  static core::Digest128 result_key(const EngineFingerprint& fp,
+                                    const core::Digest128& image_key);
 
   /// Patch tier. get returns shared Tensor handles (sequences are
   /// treated as immutable by every consumer — prepare() copies). put
@@ -169,7 +166,6 @@ class InferenceCache {
   static std::int64_t result_entry_bytes(const CachedResult& value);
 
  private:
-  CacheConfig cfg_;
   std::unique_ptr<detail::LruTier<core::PatchSequence>> patch_tier_;
   std::unique_ptr<detail::LruTier<CachedResult>> result_tier_;
 };

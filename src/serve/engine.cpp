@@ -19,24 +19,18 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// RAII eval-mode guard (mirrors the trainer's EvalGuard).
-class EvalGuard {
- public:
-  explicit EvalGuard(nn::Module& m) : m_(m), was_(m.training()) {
-    m_.set_training(false);
-  }
-  ~EvalGuard() { m_.set_training(was_); }
-
- private:
-  nn::Module& m_;
-  bool was_;
-};
-
 }  // namespace
 
 InferenceEngine::InferenceEngine(models::TokenSegModel& model,
-                                 EngineConfig cfg)
-    : model_(model), cfg_(cfg), patcher_(cfg.patcher), rng_(0x5eed) {
+                                 EngineConfig cfg,
+                                 std::shared_ptr<InferenceCache> cache)
+    : model_(model),
+      cfg_(cfg),
+      patcher_(cfg.patcher),
+      cache_(std::move(cache)),
+      fingerprint_(cache_ ? compute_engine_fingerprint(model, cfg.patcher,
+                                                       cfg.mask_threshold)
+                          : EngineFingerprint{}) {
   APF_CHECK(cfg_.max_batch > 0,
             "EngineConfig: max_batch must be positive, got "
                 << cfg_.max_batch);
@@ -120,10 +114,9 @@ void InferenceStats::add_request(const InferenceStats& request) {
 void InferenceEngine::patch_into(const img::Image& image,
                                  PatchedImage& item) const {
   std::optional<core::Digest128> pkey;
-  if (cache_ && cache_->patch_tier_enabled()) {
-    if (!item.image_key) item.image_key = cache_->image_key(image);
-    pkey = core::combine(*item.image_key, fingerprint_.patch,
-                         cache_->config().seed);
+  if (cache_) {
+    if (!item.image_key) item.image_key = InferenceCache::image_key(image);
+    pkey = InferenceCache::patch_key(fingerprint_, *item.image_key);
     if (std::optional<core::PatchSequence> hit = cache_->get_patch(*pkey)) {
       item.seq = std::move(*hit);
       item.patch_cache_hit = true;
@@ -141,40 +134,6 @@ core::PatchSequence InferenceEngine::patch(const img::Image& image) const {
   PatchedImage item;
   patch_into(image, item);
   return std::move(item.seq);
-}
-
-void InferenceEngine::set_cache(std::shared_ptr<InferenceCache> cache) {
-  if (cache) {
-    const EngineFingerprint fp = compute_engine_fingerprint(
-        model_, cfg_.patcher, cfg_.mask_threshold, cache->config().seed);
-    set_cache(std::move(cache), fp);
-  } else {
-    set_cache(nullptr, EngineFingerprint{});
-  }
-}
-
-void InferenceEngine::set_cache(std::shared_ptr<InferenceCache> cache,
-                                const EngineFingerprint& fp) {
-  cache_ = std::move(cache);
-  fingerprint_ = fp;
-}
-
-core::Digest128 InferenceEngine::result_key(
-    const core::Digest128& image_key) const {
-  core::Hasher h(cache_->config().seed);
-  h.update_digest(fingerprint_.result);
-  h.update_digest(image_key);
-  // Backend bitwise class: reference and avx2 certify bitwise_exact()
-  // and are bitwise-identical to each other, so they share entries under
-  // one label; the tolerance-grade fma backend keys by name so its
-  // numerically different logits never serve a bitwise-exact request.
-  const GemmBackend& backend = active_gemm_backend();
-  if (backend.bitwise_exact()) {
-    h.update_str("bitwise-exact");
-  } else {
-    h.update_str(backend.name());
-  }
-  return h.digest();
 }
 
 core::TokenBatch InferenceEngine::prepare(
@@ -210,12 +169,12 @@ core::TokenBatch InferenceEngine::prepare(
   return core::make_batch(ptrs);
 }
 
-Tensor InferenceEngine::forward(const core::TokenBatch& batch) {
+Tensor InferenceEngine::forward(const core::TokenBatch& batch) const {
   APF_CHECK(batch.batch() > 0, "InferenceEngine::forward: empty batch");
   // Only toggle train/eval when needed: serve::Server parks the shared
   // model in eval mode before its workers start, so concurrent forwards
   // never write Module state.
-  std::optional<EvalGuard> eval;
+  std::optional<nn::EvalGuard> eval;
   if (model_.training()) eval.emplace(model_);
   NoGradGuard no_grad;
   // Grad-free activations for this batch live in the thread-local bump
@@ -224,7 +183,8 @@ Tensor InferenceEngine::forward(const core::TokenBatch& batch) {
   // so they are deep-copied to heap ownership first (arena.h escape rule)
   // — the pause guard routes that clone back to the heap.
   ArenaScope arena;
-  Var logits = model_.forward(batch, rng_);  // [B, C, Z, Z]
+  Rng rng(0x5eed);  // read only by dropout, which eval mode switches off
+  Var logits = model_.forward(batch, rng);  // [B, C, Z, Z]
   APF_CHECK(logits.val().ndim() == 4 && logits.size(0) == batch.batch(),
             "InferenceEngine: model returned " << logits.val().str()
                                                << " for a batch of "
@@ -276,13 +236,14 @@ std::optional<InferenceResult> InferenceEngine::admit(
     const img::Image& image, PatchedImage& item) const {
   const auto t0 = Clock::now();
   validate_image(image);
-  if (cache_ && cache_->result_tier_enabled()) {
+  if (cache_) {
     // Content-addressed result reuse. Safe bitwise because the forward
     // computes each image from its own valid tokens only (padded-length
     // independence), so a stored result carries the exact bits a
     // recompute would produce, whatever batch either rode in.
-    const core::Digest128 key = cache_->image_key(image);
-    if (std::optional<CachedResult> hit = cache_->get_result(result_key(key))) {
+    const core::Digest128 key = InferenceCache::image_key(image);
+    if (std::optional<CachedResult> hit = cache_->get_result(
+            InferenceCache::result_key(fingerprint_, key))) {
       InferenceResult out;
       out.logits = std::move(hit->logits);  // deep-copied out by the cache
       out.masks.push_back(std::move(hit->mask));
@@ -302,7 +263,7 @@ std::optional<InferenceResult> InferenceEngine::admit(
 }
 
 std::vector<InferenceResult> InferenceEngine::complete(
-    std::vector<PatchedImage> items, std::int64_t target_len) {
+    std::vector<PatchedImage> items, std::int64_t target_len) const {
   const auto t0 = Clock::now();
   std::vector<core::PatchSequence> seqs;
   seqs.reserve(items.size());
@@ -343,16 +304,16 @@ std::vector<InferenceResult> InferenceEngine::complete(
       // An item reaching complete() missed the result tier by definition;
       // the patch-tier outcome rode in from admit().
       s.patch_cache_hits = item.patch_cache_hit ? 1 : 0;
-      s.patch_cache_misses =
-          cache_->patch_tier_enabled() && !item.patch_cache_hit ? 1 : 0;
-      s.result_cache_misses = cache_->result_tier_enabled() ? 1 : 0;
-      if (item.image_key && cache_->result_tier_enabled()) {
+      s.patch_cache_misses = item.patch_cache_hit ? 0 : 1;
+      s.result_cache_misses = 1;
+      if (item.image_key) {
         // put_result deep-copies, so the caller keeps sole ownership.
         CachedResult value;
         value.logits = out.logits;
         value.mask = out.masks[0];
         value.valid_tokens = valid;
-        cache_->put_result(result_key(*item.image_key), value);
+        cache_->put_result(
+            InferenceCache::result_key(fingerprint_, *item.image_key), value);
       }
     }
     s.total_seconds = s.patch_seconds + seconds_since(t0);
@@ -360,7 +321,8 @@ std::vector<InferenceResult> InferenceEngine::complete(
   return results;
 }
 
-InferenceResult InferenceEngine::run(const std::vector<img::Image>& images) {
+InferenceResult InferenceEngine::run(
+    const std::vector<img::Image>& images) const {
   APF_CHECK(!images.empty(), "InferenceEngine::run: empty image batch");
   const auto t_start = Clock::now();
 
@@ -426,7 +388,7 @@ InferenceResult InferenceEngine::run(const std::vector<img::Image>& images) {
   return out;
 }
 
-img::Image InferenceEngine::predict_mask(const img::Image& image) {
+img::Image InferenceEngine::predict_mask(const img::Image& image) const {
   return run({image}).masks[0];
 }
 

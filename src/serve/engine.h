@@ -21,11 +21,11 @@
 //              result-tier store, for a batch of admitted misses
 //
 // run() is the serial loop over them and serve::Server the async one
-// (submit() admits, workers complete), so the server matches run()
-// bitwise by construction: the grad-free forward computes each image from
-// its own valid tokens only (fused masked attention + mask-aware dense
-// layers + per-item scatter), so an image's logits do not depend on which
-// batch it rode in or how far it was padded.
+// (submit() admits, workers complete, all on one shared engine), so the
+// server matches run() bitwise by construction: the grad-free forward
+// computes each image from its own valid tokens only (fused masked
+// attention + mask-aware dense layers + per-item scatter), so an image's
+// logits do not depend on which batch it rode in or how far it was padded.
 
 #include <cstdint>
 #include <map>
@@ -163,7 +163,7 @@ struct InferenceResult {
 /// sequence plus what complete() needs to finish it.
 struct PatchedImage {
   core::PatchSequence seq;
-  /// The image's content key, set when a cache is attached, so complete()
+  /// The image's content key, set when the engine has a cache, so complete()
   /// stores the result without hashing the pixels again.
   std::optional<core::Digest128> image_key;
   bool patch_cache_hit = false;  ///< patching hit the patch tier
@@ -172,19 +172,22 @@ struct PatchedImage {
 
 /// Staged grad-free inference over a token segmentation model.
 ///
-/// Thread-safety: the const stage methods (validate_image, patch, admit,
-/// decode, prepare) are stateless apart from the internally synchronized
-/// cache and safe to call from any number of threads. The non-const
-/// entry points (forward, complete, run, predict_mask) own mutable engine
-/// state (rng, train/eval toggling) and must have one caller at a time —
-/// serve::Server gives each worker thread its own engine view over the
-/// shared model (which is only read during grad-free forwards), plus a
-/// dedicated engine for the client-side admit stage.
+/// Thread-safety: the engine is immutable after construction and every
+/// method is const, so any number of threads may call any of them at once
+/// — serve::Server runs its admit stage and all its workers on one engine.
+/// The one write is to the model: forward() switches a model in training
+/// mode to eval for the call and back, so concurrent callers need the
+/// model parked in eval first (Server does this; the grad-free forward
+/// then only reads the model). The cache synchronizes internally.
 class InferenceEngine {
  public:
-  /// The engine borrows the model; the caller keeps it alive. Throws
+  /// The engine borrows the model; the caller keeps it alive. With a
+  /// cache (serve/cache.h), which may be shared with other engines,
+  /// admit() and patch() consult it and complete() fills it; every output
+  /// stays bitwise identical to a cacheless engine's. Throws
   /// detail::CheckError when cfg is invalid (see EngineConfig).
-  InferenceEngine(models::TokenSegModel& model, EngineConfig cfg);
+  InferenceEngine(models::TokenSegModel& model, EngineConfig cfg,
+                  std::shared_ptr<InferenceCache> cache = nullptr);
 
   // ------------------------------------------------------------- stages
 
@@ -194,7 +197,7 @@ class InferenceEngine {
   /// length, so a scheduler can bucket by true length and pad only to the
   /// bucket. Throws detail::CheckError when the image does not match the
   /// model's expected square geometry (validate_image). Consults the patch
-  /// tier when a cache is attached.
+  /// tier when the engine has a cache.
   core::PatchSequence patch(const img::Image& image) const;
 
   /// Pads every sequence (zero tokens, mask 0) to target_len and stacks
@@ -211,7 +214,7 @@ class InferenceEngine {
   /// (tensor/arena.h) for the duration of the call; the returned logits
   /// are deep-copied to ordinary heap ownership, so callers may hold them
   /// indefinitely.
-  Tensor forward(const core::TokenBatch& batch);
+  Tensor forward(const core::TokenBatch& batch) const;
 
   /// Stage 3 — decode pixel-space masks from logits: sigmoid threshold in
   /// logit space for binary heads (C == 1), per-pixel argmax otherwise.
@@ -220,7 +223,7 @@ class InferenceEngine {
   // ------------------------------------------------ per-request stages
 
   /// Front half of one request: validates the image, computes its content
-  /// key and looks up the result tier (cache attached), then patches
+  /// key and looks up the result tier (with a cache), then patches
   /// through the patch tier. A result-tier hit returns the finished
   /// result ([1, C, Z, Z] logits, one mask, hit stats; bitwise equal to a
   /// cold one) and leaves `item` untouched; otherwise fills `item` and
@@ -233,9 +236,9 @@ class InferenceEngine {
   /// result per item, in order, with [1, C, Z, Z] logits, one mask and
   /// per-request stats (images = batches = 1, batch_size = the item
   /// count, forward_seconds = the batch's forward time), and stores each
-  /// in the result tier when it is on.
+  /// in the result tier when the engine has a cache.
   std::vector<InferenceResult> complete(std::vector<PatchedImage> items,
-                                        std::int64_t target_len = 0);
+                                        std::int64_t target_len = 0) const;
 
   // ---------------------------------------------------- composed serial
 
@@ -245,10 +248,10 @@ class InferenceEngine {
   /// that is longer), and stack the results in input order. Deterministic:
   /// repeated calls on the same inputs are bitwise identical, and equal to
   /// the taped forward's values.
-  InferenceResult run(const std::vector<img::Image>& images);
+  InferenceResult run(const std::vector<img::Image>& images) const;
 
   /// Single-image convenience wrapper around run().
-  img::Image predict_mask(const img::Image& image);
+  img::Image predict_mask(const img::Image& image) const;
 
   /// Throws detail::CheckError naming index and shape when the image is
   /// not square, does not match the model's expected_image_size(), its
@@ -264,35 +267,19 @@ class InferenceEngine {
 
   const EngineConfig& config() const { return cfg_; }
 
-  // ----------------------------------------------------------- caching
-
-  /// Attaches a content-addressed cache (serve/cache.h); nullptr
-  /// detaches. The single-argument form computes the engine fingerprint
-  /// here (hashing every model parameter); the two-argument form takes a
-  /// precomputed one so serve::Server can share a single computation
-  /// across its per-worker engines. With a cache attached, admit() and
-  /// patch() consult it and complete() fills it; all outputs stay bitwise
-  /// identical to the cold path.
-  void set_cache(std::shared_ptr<InferenceCache> cache);
-  void set_cache(std::shared_ptr<InferenceCache> cache,
-                 const EngineFingerprint& fp);
+  /// The engine's cache; nullptr when it was built without one.
   const std::shared_ptr<InferenceCache>& cache() const { return cache_; }
 
  private:
-  /// Patches a validated image through the patch tier when it is on,
-  /// computing item.image_key first if it is unset.
+  /// Patches a validated image through the patch tier when the engine has
+  /// a cache, computing item.image_key first if it is unset.
   void patch_into(const img::Image& image, PatchedImage& item) const;
 
-  /// Result-tier key: engine fingerprint, image key and gemm backend
-  /// class.
-  core::Digest128 result_key(const core::Digest128& image_key) const;
-
   models::TokenSegModel& model_;
-  EngineConfig cfg_;
-  core::AdaptivePatcher patcher_;
-  Rng rng_;  ///< consumed only by dropout, which eval mode disables
-  std::shared_ptr<InferenceCache> cache_;  ///< may be shared across engines
-  EngineFingerprint fingerprint_;          ///< valid while cache_ is set
+  const EngineConfig cfg_;
+  const core::AdaptivePatcher patcher_;
+  const std::shared_ptr<InferenceCache> cache_;  ///< may be shared; may be null
+  const EngineFingerprint fingerprint_;          ///< meaningful with a cache
 };
 
 }  // namespace apf::serve

@@ -23,6 +23,10 @@ Server::Server(models::TokenSegModel& model, ServerConfig cfg)
       cfg_(cfg),
       queue_(cfg.max_queue, cfg.bucket_granularity, cfg.engine.max_batch,
              std::chrono::duration<double, std::milli>(cfg.batch_deadline_ms)),
+      engine_(model, cfg.engine,
+              cfg.cache.capacity_bytes > 0
+                  ? std::make_shared<InferenceCache>(cfg.cache)
+                  : nullptr),
       started_(Clock::now()) {
   APF_CHECK(cfg_.num_workers > 0,
             "ServerConfig: num_workers must be positive, got "
@@ -31,24 +35,8 @@ Server::Server(models::TokenSegModel& model, ServerConfig cfg)
             "ServerConfig: cache.capacity_bytes must be >= 0, got "
                 << cfg_.cache.capacity_bytes);
   // max_queue, bucket_granularity, engine.max_batch and batch_deadline_ms
-  // are validated by the RequestQueue; the rest of the EngineConfig by the
-  // engines below; the rest of the CacheConfig by the InferenceCache
-  // constructor.
-  engines_.reserve(static_cast<std::size_t>(cfg_.num_workers));
-  for (int i = 0; i < cfg_.num_workers; ++i)
-    engines_.push_back(std::make_unique<InferenceEngine>(model_, cfg_.engine));
-  admit_engine_ = std::make_unique<InferenceEngine>(model_, cfg_.engine);
-
-  if (cfg_.cache.enabled()) {
-    cache_ = std::make_shared<InferenceCache>(cfg_.cache);
-    // One fingerprint computation (it hashes every model parameter) shared
-    // across all engine views — they serve the same model and config.
-    const EngineFingerprint fp = compute_engine_fingerprint(
-        model_, cfg_.engine.patcher, cfg_.engine.mask_threshold,
-        cfg_.cache.seed);
-    for (const auto& engine : engines_) engine->set_cache(cache_, fp);
-    admit_engine_->set_cache(cache_, fp);
-  }
+  // are validated by the RequestQueue, the rest of the EngineConfig by the
+  // engine.
 
   // Park the shared model in eval mode for the server's lifetime: workers
   // then only READ module state, so concurrent forwards are race-free.
@@ -60,9 +48,9 @@ Server::Server(models::TokenSegModel& model, ServerConfig cfg)
   sched_at_start_ = scheduler_stats();
   window_started_ = started_;
 
-  workers_.reserve(engines_.size());
-  for (std::size_t i = 0; i < engines_.size(); ++i)
-    workers_.emplace_back([this, i] { worker_main(i); });
+  workers_.reserve(static_cast<std::size_t>(cfg_.num_workers));
+  for (int i = 0; i < cfg_.num_workers; ++i)
+    workers_.emplace_back([this] { worker_main(); });
 }
 
 Server::~Server() { shutdown(); }
@@ -81,7 +69,7 @@ std::future<InferenceResult> Server::submit(const img::Image& image) {
   // Admit on the calling thread: validation fails fast at the API boundary,
   // and patching in parallel across clients keeps the workers fed.
   Request r;
-  if (std::optional<InferenceResult> hit = admit_engine_->admit(image, r)) {
+  if (std::optional<InferenceResult> hit = engine_.admit(image, r)) {
     // Exact duplicate: serve it right here — no queue, no worker, no
     // forward. Shutdown still rejects new work on this path, and the
     // aggregate is folded BEFORE the future resolves (same ordering
@@ -111,15 +99,14 @@ std::vector<std::future<InferenceResult>> Server::submit_many(
   // Validate everything up front so a bad image rejects the whole call
   // before ANY request is enqueued (no partial batches on error).
   for (std::size_t i = 0; i < images.size(); ++i)
-    admit_engine_->validate_image(images[i], static_cast<std::int64_t>(i));
+    engine_.validate_image(images[i], static_cast<std::int64_t>(i));
   std::vector<std::future<InferenceResult>> futures;
   futures.reserve(images.size());
   for (const img::Image& im : images) futures.push_back(submit(im));
   return futures;
 }
 
-void Server::worker_main(std::size_t worker_index) {
-  InferenceEngine& engine = *engines_[worker_index];
+void Server::worker_main() {
   for (;;) {
     // Wait for poppable work WITHOUT claiming it: requests are only
     // popped inside the task below, once this worker actually holds an
@@ -138,7 +125,7 @@ void Server::worker_main(std::size_t worker_index) {
     // one cache-hot thread (and its warm thread-local arena) instead of
     // ping-ponging between workers. The pop may also come back empty —
     // another worker won the race — which just ends the task.
-    // Correctness is thread-independent: engine.forward() installs its
+    // Correctness is thread-independent: engine_.forward() installs its
     // own NoGradGuard and ArenaScope, and process_batch() fulfills
     // promises itself (it never throws).
     TaskGroup group;
@@ -148,7 +135,7 @@ void Server::worker_main(std::size_t worker_index) {
           for (;;) {
             std::vector<Request> batch = queue_.try_pop_batch();
             if (batch.empty()) return;
-            process_batch(engine, std::move(batch));
+            process_batch(std::move(batch));
           }
         },
         TaskKind::kForward);
@@ -156,8 +143,7 @@ void Server::worker_main(std::size_t worker_index) {
   }
 }
 
-void Server::process_batch(InferenceEngine& engine,
-                           std::vector<Request>&& batch) {
+void Server::process_batch(std::vector<Request>&& batch) {
   const auto t0 = Clock::now();
   try {
     std::vector<PatchedImage> items;
@@ -165,7 +151,7 @@ void Server::process_batch(InferenceEngine& engine,
     for (Request& r : batch) items.push_back(std::move(r));  // its admit half
     // Pad only to this batch's own longest member — the bucket guarantees
     // peers are within one granularity step, so padding stays small.
-    std::vector<InferenceResult> results = engine.complete(std::move(items));
+    std::vector<InferenceResult> results = engine_.complete(std::move(items));
     for (std::size_t i = 0; i < batch.size(); ++i) {
       InferenceStats& s = results[i].stats;
       s.queue_depth = batch[i].queue_depth;
@@ -203,7 +189,8 @@ InferenceStats Server::snapshot() const {
   // Gather external counters BEFORE taking stats_mu_: the cache locks
   // its shard mutexes, and keeping those acquisitions outside the
   // stats_mu_ critical section keeps the lock-order graph edge-free.
-  const CacheStats cache_now = cache_ ? cache_->stats() : CacheStats{};
+  const CacheStats cache_now =
+      engine_.cache() ? engine_.cache()->stats() : CacheStats{};
   const SchedulerStats now = scheduler_stats();
   MutexLock lock(stats_mu_);
   InferenceStats out = aggregate_;

@@ -16,17 +16,17 @@
 // admit() and complete() are the engine stages run() drives too; the
 // server adds only the queue, queue timing and the aggregate stats.
 //
-// Each worker owns an InferenceEngine view over the shared model; the
-// model is parked in eval mode for the server's lifetime so the grad-free
-// forwards never write shared state. Workers submit each forward pass to
-// the unified work-stealing scheduler (core/thread_pool.h) as an
-// inter-op TaskKind::kForward task; the gemm panels inside it are
-// intra-op kPanel tasks on the SAME pool, so batch-level and panel-level
-// parallelism compose — a lone batch fans its panels across every idle
-// thread, concurrent batches naturally share — instead of the static
-// per-worker ThreadLimitGuard partition PR 5 used. Results are bitwise
-// identical to the serial InferenceEngine::run() path regardless of
-// arrival order, batch composition, or bucket padding: the fused masked
+// submit() and every worker call one shared InferenceEngine, which is
+// immutable after construction; the model is parked in eval mode for the
+// server's lifetime so the grad-free forwards never write shared state.
+// Workers submit each forward pass to the unified work-stealing scheduler
+// (core/thread_pool.h) as an inter-op TaskKind::kForward task; the gemm
+// panels inside it are intra-op kPanel tasks on the SAME pool, so
+// batch-level and panel-level parallelism compose — a lone batch fans its
+// panels across every idle thread, concurrent batches naturally share —
+// instead of a static per-worker ThreadLimitGuard partition. Results are
+// bitwise identical to the serial InferenceEngine::run() path regardless
+// of arrival order, batch composition, or bucket padding: the fused masked
 // attention, mask-aware dense layers, and per-item scatter compute every
 // image from its own valid tokens only.
 
@@ -45,8 +45,8 @@
 
 namespace apf::serve {
 
-/// Scheduling knobs on top of the per-worker EngineConfig. Validated at
-/// Server construction.
+/// Scheduling knobs on top of the EngineConfig. Validated at Server
+/// construction.
 struct ServerConfig {
   /// Patching schedule, per-forward max_batch (the dynamic batch size the
   /// scheduler coalesces toward), and mask threshold.
@@ -59,18 +59,18 @@ struct ServerConfig {
   /// waits entirely (every pop takes whatever is queued). Must be finite,
   /// >= 0 and at most half of steady_clock's range (about 146 years).
   double batch_deadline_ms = 2.0;
-  /// Worker threads, each owning an engine view over the shared model.
+  /// Worker threads, all running the server's one engine.
   int num_workers = 2;
   /// Sequence lengths are bucketed by ceil(len / g) * g before batching;
   /// requests only batch with same-bucket peers. 1 batches exact lengths
   /// only; a value >= the token budget degrades to first-come order.
   std::int64_t bucket_granularity = 32;
   /// Content-addressed cache (serve/cache.h): capacity_bytes > 0 turns it
-  /// on, and one shared InferenceCache then backs every worker engine and
-  /// the client-side admit stage. Exact duplicate submissions are served
-  /// straight from submit() (no queue, no forward) with outputs bitwise
-  /// identical to a cold request; repeated pixels with a cold result tier
-  /// still skip patching via the patch tier. Off by default.
+  /// on, and the server's engine then holds one InferenceCache for the
+  /// client-side admit stage and every worker. Exact duplicate submissions
+  /// are served straight from submit() (no queue, no forward) with outputs
+  /// bitwise identical to a cold request; repeated pixels with a cold
+  /// result tier still skip patching via the patch tier. Off by default.
   CacheConfig cache;
 };
 
@@ -126,8 +126,10 @@ class Server {
   /// each delta is observed by exactly one caller.
   InferenceStats stats_since_last();
 
-  /// The shared content cache; nullptr when cfg.cache is disabled.
-  const std::shared_ptr<InferenceCache>& cache() const { return cache_; }
+  /// The shared content cache; nullptr when cfg.cache.capacity_bytes is 0.
+  const std::shared_ptr<InferenceCache>& cache() const {
+    return engine_.cache();
+  }
 
   /// Requests accepted but not yet handed to a worker.
   std::int64_t pending() const { return queue_.pending(); }
@@ -135,8 +137,8 @@ class Server {
   const ServerConfig& config() const { return cfg_; }
 
  private:
-  void worker_main(std::size_t worker_index);
-  void process_batch(InferenceEngine& engine, std::vector<Request>&& batch);
+  void worker_main();
+  void process_batch(std::vector<Request>&& batch);
   /// Lifetime aggregate incl. scheduler deltas and cache totals (the
   /// body of stats(); also the sample stats_since_last() windows over).
   InferenceStats snapshot() const;
@@ -144,10 +146,8 @@ class Server {
   models::TokenSegModel& model_;
   ServerConfig cfg_;
   RequestQueue queue_;
-  std::vector<std::unique_ptr<InferenceEngine>> engines_;  // one per worker
-  /// Client-side admit engine: only its const methods (validate_image /
-  /// admit) are used, so any number of submitting threads may share it.
-  std::unique_ptr<InferenceEngine> admit_engine_;
+  /// Runs admit() on client threads and complete() on every worker.
+  const InferenceEngine engine_;
   std::atomic<std::uint64_t> next_id_{0};
   /// Process-wide scheduler counters at construction; stats() reports the
   /// delta, scoping steal/task counts to this server's lifetime.
@@ -158,11 +158,6 @@ class Server {
   std::vector<std::thread> workers_ APF_GUARDED_BY(shutdown_mu_);
   bool model_was_training_ APF_GUARDED_BY(shutdown_mu_) = false;
   bool shut_down_ APF_GUARDED_BY(shutdown_mu_) = false;
-
-  /// One content cache shared by every worker engine and the admit
-  /// engine; nullptr when cfg_.cache is disabled. The engines hold it by
-  /// shared_ptr, so entries stay valid however the server winds down.
-  std::shared_ptr<InferenceCache> cache_;
 
   mutable Mutex stats_mu_;
   InferenceStats aggregate_ APF_GUARDED_BY(stats_mu_);

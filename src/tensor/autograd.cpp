@@ -157,8 +157,6 @@ Var add_scalar(const Var& a, float s) {
       "add_scalar");
 }
 
-Var neg(const Var& a) { return scale(a, -1.f); }
-
 Var add_bias(const Var& x, const Var& bias) {
   auto xn = x.node();
   auto bn = bias.node();

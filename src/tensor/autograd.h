@@ -125,7 +125,6 @@ Var sub(const Var& a, const Var& b);
 Var mul(const Var& a, const Var& b);
 Var scale(const Var& a, float s);
 Var add_scalar(const Var& a, float s);
-Var neg(const Var& a);
 /// x[..., D] + bias[D].
 Var add_bias(const Var& x, const Var& bias);
 /// Elementwise product with a constant mask (no grad through mask).

@@ -65,18 +65,6 @@ Tensor add_scalar(const Tensor& a, float s) {
 Tensor mul_scalar(const Tensor& a, float s) {
   return unary_op(a, [s](float x) { return x * s; });
 }
-Tensor neg(const Tensor& a) {
-  return unary_op(a, [](float x) { return -x; });
-}
-Tensor exp(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::exp(x); });
-}
-Tensor log(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::log(x); });
-}
-Tensor sqrt(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::sqrt(x); });
-}
 Tensor relu(const Tensor& a) {
   return unary_op(a, [](float x) { return x > 0.f ? x : 0.f; });
 }
@@ -308,21 +296,6 @@ Tensor sum_to_lastdim(const Tensor& x) {
   return out;
 }
 
-Tensor mul_lastdim(const Tensor& x, const Tensor& scale) {
-  APF_CHECK(scale.ndim() == 1 && x.size(-1) == scale.numel(),
-            "mul_lastdim: " << x.str() << " vs " << scale.str());
-  const std::int64_t d = scale.numel();
-  const std::int64_t rows = x.numel() / d;
-  Tensor out = Tensor::empty(x.shape());
-  const float* px = x.data();
-  const float* ps = scale.data();
-  float* po = out.data();
-  parallel_for(rows, [&](std::int64_t r) {
-    for (std::int64_t j = 0; j < d; ++j) po[r * d + j] = px[r * d + j] * ps[j];
-  });
-  return out;
-}
-
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   APF_CHECK(a.ndim() == 2 && b.ndim() == 2,
             "matmul: need 2-D, got " << a.str() << " @ " << b.str());
@@ -472,14 +445,6 @@ float sum_all(const Tensor& a) {
 float mean_all(const Tensor& a) {
   APF_CHECK(a.numel() > 0, "mean_all: empty tensor");
   return sum_all(a) / static_cast<float>(a.numel());
-}
-
-float max_all(const Tensor& a) {
-  APF_CHECK(a.numel() > 0, "max_all: empty tensor");
-  const float* p = a.data();
-  float m = p[0];
-  for (std::int64_t i = 1; i < a.numel(); ++i) m = std::max(m, p[i]);
-  return m;
 }
 
 std::vector<std::int64_t> argmax_lastdim(const Tensor& x) {
@@ -698,43 +663,6 @@ Tensor col2im(const Tensor& cols, std::int64_t c, std::int64_t h,
     col2im_into(pc, c, h, w, kh, kw, stride, pad, px, ch, ch + 1);
   }, /*grain=*/1);
   return x;
-}
-
-Tensor upsample2x_nearest(const Tensor& x) {
-  APF_CHECK(x.ndim() == 3, "upsample2x: need [C,H,W], got " << x.str());
-  const std::int64_t c = x.size(0), h = x.size(1), w = x.size(2);
-  Tensor out = Tensor::empty({c, h * 2, w * 2});
-  const float* px = x.data();
-  float* po = out.data();
-  parallel_for(c * h, [&](std::int64_t idx) {
-    const std::int64_t ch = idx / h, i = idx % h;
-    const float* row = px + (ch * h + i) * w;
-    float* o0 = po + (ch * 2 * h + 2 * i) * 2 * w;
-    float* o1 = o0 + 2 * w;
-    for (std::int64_t j = 0; j < w; ++j) {
-      o0[2 * j] = o0[2 * j + 1] = o1[2 * j] = o1[2 * j + 1] = row[j];
-    }
-  });
-  return out;
-}
-
-Tensor upsample2x_nearest_grad(const Tensor& dy) {
-  APF_CHECK(dy.ndim() == 3 && dy.size(1) % 2 == 0 && dy.size(2) % 2 == 0,
-            "upsample2x_grad: bad shape " << dy.str());
-  const std::int64_t c = dy.size(0), h = dy.size(1) / 2, w = dy.size(2) / 2;
-  Tensor dx({c, h, w});
-  const float* pdy = dy.data();
-  float* pdx = dx.data();
-  parallel_for(c * h, [&](std::int64_t idx) {
-    const std::int64_t ch = idx / h, i = idx % h;
-    const float* y0 = pdy + (ch * 2 * h + 2 * i) * 2 * w;
-    const float* y1 = y0 + 2 * w;
-    float* row = pdx + (ch * h + i) * w;
-    for (std::int64_t j = 0; j < w; ++j) {
-      row[j] = y0[2 * j] + y0[2 * j + 1] + y1[2 * j] + y1[2 * j + 1];
-    }
-  });
-  return dx;
 }
 
 }  // namespace apf::ops

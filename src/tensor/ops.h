@@ -28,10 +28,6 @@ Tensor add_scalar(const Tensor& a, float s);
 Tensor mul_scalar(const Tensor& a, float s);
 
 // ---- Elementwise unary ----------------------------------------------------
-Tensor neg(const Tensor& a);
-Tensor exp(const Tensor& a);
-Tensor log(const Tensor& a);
-Tensor sqrt(const Tensor& a);
 Tensor relu(const Tensor& a);
 /// Tanh-approximation GELU (the variant used by ViT implementations),
 /// computed by gelu_row.
@@ -47,8 +43,6 @@ Tensor clamp(const Tensor& a, float lo, float hi);
 Tensor add_bias(const Tensor& x, const Tensor& bias);
 /// Sum of x over all leading dims: [..., D] -> [D]. (Bias gradient.)
 Tensor sum_to_lastdim(const Tensor& x);
-/// x of shape [..., D] times scale of shape [D] (elementwise per column).
-Tensor mul_lastdim(const Tensor& x, const Tensor& scale);
 
 // ---- Matrix products ---------------------------------------------------------
 /// 2-D matmul with optional transposes: op(a)[m,k] @ op(b)[k,n] -> [m,n].
@@ -72,7 +66,6 @@ Tensor slice(const Tensor& x, std::int64_t axis, std::int64_t start,
 // ---- Reductions ----------------------------------------------------------------
 float sum_all(const Tensor& a);
 float mean_all(const Tensor& a);
-float max_all(const Tensor& a);
 /// Row-wise argmax over the last dim; returns indices of shape rows.
 std::vector<std::int64_t> argmax_lastdim(const Tensor& x);
 
@@ -179,11 +172,5 @@ void im2col_into(const float* x, std::int64_t c, std::int64_t h,
 Tensor col2im(const Tensor& cols, std::int64_t c, std::int64_t h,
               std::int64_t w, std::int64_t kh, std::int64_t kw,
               std::int64_t stride, std::int64_t pad);
-
-// ---- Spatial resampling (NCHW, single image [C,H,W]) ---------------------------
-/// 2x nearest-neighbour upsample.
-Tensor upsample2x_nearest(const Tensor& x);
-/// Backward of upsample2x_nearest (sums the 2x2 cells).
-Tensor upsample2x_nearest_grad(const Tensor& dy);
 
 }  // namespace apf::ops

@@ -6,19 +6,6 @@
 namespace apf::train {
 namespace {
 
-/// RAII eval-mode guard.
-class EvalGuard {
- public:
-  explicit EvalGuard(nn::Module& m) : m_(m), was_(m.training()) {
-    m_.set_training(false);
-  }
-  ~EvalGuard() { m_.set_training(was_); }
-
- private:
-  nn::Module& m_;
-  bool was_;
-};
-
 Tensor concat_targets(const std::vector<const Tensor*>& ts) {
   std::int64_t total = 0;
   for (const Tensor* t : ts) total += t->numel();
@@ -34,7 +21,7 @@ Tensor concat_targets(const std::vector<const Tensor*>& ts) {
 }  // namespace
 
 double Task::eval_loss(const std::vector<std::int64_t>& batch, Rng& rng) {
-  EvalGuard guard(model());
+  nn::EvalGuard guard(model());
   NoGradGuard no_grad;
   return loss(batch, rng).val()[0];
 }
@@ -75,7 +62,7 @@ Var BinaryTokenSegTask::loss(const std::vector<std::int64_t>& batch,
 }
 
 double BinaryTokenSegTask::metric(const std::vector<std::int64_t>& indices) {
-  EvalGuard guard(model_);
+  nn::EvalGuard guard(model_);
   NoGradGuard no_grad;
   Rng rng(0);
   double acc = 0.0;
@@ -89,7 +76,7 @@ double BinaryTokenSegTask::metric(const std::vector<std::int64_t>& indices) {
 }
 
 img::Image BinaryTokenSegTask::predict_mask(std::int64_t index) {
-  EvalGuard guard(model_);
+  nn::EvalGuard guard(model_);
   NoGradGuard no_grad;
   Rng rng(0);
   const Cached& c = cached(index);
@@ -154,7 +141,7 @@ Var BinaryImageSegTask::loss(const std::vector<std::int64_t>& batch,
 }
 
 double BinaryImageSegTask::metric(const std::vector<std::int64_t>& indices) {
-  EvalGuard guard(model_);
+  nn::EvalGuard guard(model_);
   NoGradGuard no_grad;
   double acc = 0.0;
   for (std::int64_t ix : indices) {
@@ -166,7 +153,7 @@ double BinaryImageSegTask::metric(const std::vector<std::int64_t>& indices) {
 }
 
 img::Image BinaryImageSegTask::predict_mask(std::int64_t index) {
-  EvalGuard guard(model_);
+  nn::EvalGuard guard(model_);
   NoGradGuard no_grad;
   const Cached& c = cached(index);
   Var logits = model_.forward(Var::constant(stack_images({&c.image})));
@@ -214,7 +201,7 @@ Var MultiTokenSegTask::loss(const std::vector<std::int64_t>& batch, Rng& rng) {
 }
 
 double MultiTokenSegTask::metric(const std::vector<std::int64_t>& indices) {
-  EvalGuard guard(model_);
+  nn::EvalGuard guard(model_);
   NoGradGuard no_grad;
   Rng rng(0);
   double acc = 0.0;
@@ -265,7 +252,7 @@ Var MultiImageSegTask::loss(const std::vector<std::int64_t>& batch, Rng& rng) {
 }
 
 double MultiImageSegTask::metric(const std::vector<std::int64_t>& indices) {
-  EvalGuard guard(model_);
+  nn::EvalGuard guard(model_);
   NoGradGuard no_grad;
   double acc = 0.0;
   for (std::int64_t ix : indices) {
@@ -311,7 +298,7 @@ Var ImageClassificationTask::loss(const std::vector<std::int64_t>& batch,
 
 double ImageClassificationTask::metric(
     const std::vector<std::int64_t>& indices) {
-  EvalGuard guard(model_);
+  nn::EvalGuard guard(model_);
   NoGradGuard no_grad;
   Rng rng(0);
   double correct = 0.0;
@@ -357,7 +344,7 @@ Var ClassificationTask::loss(const std::vector<std::int64_t>& batch,
 }
 
 double ClassificationTask::metric(const std::vector<std::int64_t>& indices) {
-  EvalGuard guard(model_);
+  nn::EvalGuard guard(model_);
   NoGradGuard no_grad;
   Rng rng(0);
   double correct = 0.0;

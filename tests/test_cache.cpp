@@ -35,11 +35,12 @@ namespace {
 struct Rig {
   static constexpr std::int64_t kZ = 32, kPatch = 4;
 
-  explicit Rig(std::uint64_t model_seed = 7)
-      : rng(model_seed), model(make_config(), rng) {}
+  explicit Rig(std::uint64_t model_seed = 7, std::int64_t out_channels = 1)
+      : rng(model_seed), model(make_config(out_channels), rng) {}
 
-  static models::UnetrConfig make_config() {
+  static models::UnetrConfig make_config(std::int64_t out_channels) {
     models::UnetrConfig mcfg;
+    mcfg.out_channels = out_channels;
     mcfg.enc.token_dim = 3 * kPatch * kPatch;
     mcfg.enc.d_model = 32;
     mcfg.enc.depth = 1;
@@ -73,11 +74,11 @@ struct Rig {
   models::Unetr2d model;
 };
 
-serve::CacheConfig cache_config(std::int64_t capacity = 64 << 20,
-                                int shards = 4) {
+constexpr std::int64_t kShards = serve::InferenceCache::kShards;
+
+serve::CacheConfig cache_config(std::int64_t capacity = 64 << 20) {
   serve::CacheConfig c;
   c.capacity_bytes = capacity;
-  c.shards = shards;
   return c;
 }
 
@@ -107,7 +108,11 @@ core::PatchSequence make_sequence(std::int64_t length, float tag) {
   return seq;
 }
 
-core::Digest128 key_of(std::uint64_t i) { return core::Digest128{i, ~i}; }
+// Every key lands in shard 0 (a key's shard is key.lo % kShards), so one
+// shard's recency order and budget are the whole test's.
+core::Digest128 key_of(std::uint64_t i) {
+  return core::Digest128{i * kShards, ~i};
+}
 
 // ------------------------------------------------------------- hashing
 
@@ -206,10 +211,10 @@ TEST(Hash, CombineIsOrderSensitive) {
 // ------------------------------------------------- sharded LRU behavior
 
 TEST(InferenceCache, LruEvictionOrderAndByteAccounting) {
-  // One shard makes the recency order global and deterministic.
+  // Same-shard keys make the recency order global and deterministic.
   const core::PatchSequence probe = make_sequence(16, 0.f);
   const std::int64_t eb = serve::InferenceCache::patch_entry_bytes(probe);
-  serve::CacheConfig cfg = cache_config(3 * eb, /*shards=*/1);
+  serve::CacheConfig cfg = cache_config(3 * eb * kShards);
   serve::InferenceCache cache(cfg);
 
   cache.put_patch(key_of(1), make_sequence(16, 1.f));
@@ -244,7 +249,7 @@ TEST(InferenceCache, LruEvictionOrderAndByteAccounting) {
 }
 
 TEST(InferenceCache, ReinsertingAKeyRefreshesInPlace) {
-  serve::InferenceCache cache(cache_config(1 << 20, 1));
+  serve::InferenceCache cache(cache_config(1 << 20));
   cache.put_patch(key_of(1), make_sequence(16, 1.f));
   cache.put_patch(key_of(1), make_sequence(16, 5.f));
   serve::CacheStats s = cache.stats();
@@ -258,7 +263,7 @@ TEST(InferenceCache, OversizedEntryIsNotInserted) {
   // then instantly evicting would thrash the shard for nothing).
   const core::PatchSequence big = make_sequence(64, 1.f);
   serve::InferenceCache cache(cache_config(
-      serve::InferenceCache::patch_entry_bytes(big) - 1, /*shards=*/1));
+      (serve::InferenceCache::patch_entry_bytes(big) - 1) * kShards));
   cache.put_patch(key_of(1), big);
   const serve::CacheStats s = cache.stats();
   EXPECT_EQ(s.patch.entries, 0);
@@ -288,26 +293,9 @@ TEST(InferenceCache, ResultGetDeepCopiesOut) {
   EXPECT_EQ(cache.get_result(key_of(7))->logits[1], 2.5f);
 }
 
-TEST(InferenceCache, DisabledTiersAndZeroCapacityNoOp) {
-  serve::CacheConfig off = cache_config(0);
-  EXPECT_FALSE(off.enabled());
-  serve::InferenceCache disabled(off);
-  disabled.put_patch(key_of(1), make_sequence(8, 1.f));
-  EXPECT_FALSE(disabled.get_patch(key_of(1)).has_value());
-  EXPECT_EQ(disabled.stats().patch.misses, 0);  // tier off: not even counted
-
-  serve::CacheConfig patch_only = cache_config();
-  patch_only.result_tier = false;
-  serve::InferenceCache po(patch_only);
-  EXPECT_TRUE(po.patch_tier_enabled());
-  EXPECT_FALSE(po.result_tier_enabled());
-  serve::CachedResult value;
-  value.logits = Tensor::ones({1, 1, 2, 2});
-  po.put_result(key_of(1), value);
-  EXPECT_FALSE(po.get_result(key_of(1)).has_value());
-
-  EXPECT_THROW(serve::InferenceCache(cache_config(1 << 20, 0)),
-               detail::CheckError);
+TEST(InferenceCache, RejectsNonPositiveBudget) {
+  EXPECT_THROW(serve::InferenceCache(cache_config(0)), detail::CheckError);
+  EXPECT_THROW(serve::InferenceCache(cache_config(-1)), detail::CheckError);
 }
 
 TEST(InferenceCache, ImageKeyDependsOnPixelsAndGeometry) {
@@ -327,41 +315,33 @@ TEST(InferenceCache, ImageKeyDependsOnPixelsAndGeometry) {
 TEST(Fingerprint, SeparatesPatcherThresholdAndWeights) {
   Rig rig;
   const serve::EngineConfig ecfg = rig.engine_config();
-  const std::uint64_t seed = 11;
-  const serve::EngineFingerprint base = serve::compute_engine_fingerprint(
-      rig.model, ecfg.patcher, 0.5f, seed);
-  EXPECT_EQ(serve::compute_engine_fingerprint(rig.model, ecfg.patcher, 0.5f,
-                                              seed)
-                .result,
-            base.result);
+  const serve::EngineFingerprint base =
+      serve::compute_engine_fingerprint(rig.model, ecfg.patcher, 0.5f);
+  EXPECT_EQ(
+      serve::compute_engine_fingerprint(rig.model, ecfg.patcher, 0.5f).result,
+      base.result);
 
   // Threshold: decode-only knob — patch fingerprint unchanged, result
   // fingerprint must move.
-  const serve::EngineFingerprint thresh = serve::compute_engine_fingerprint(
-      rig.model, ecfg.patcher, 0.75f, seed);
+  const serve::EngineFingerprint thresh =
+      serve::compute_engine_fingerprint(rig.model, ecfg.patcher, 0.75f);
   EXPECT_EQ(thresh.patch, base.patch);
   EXPECT_NE(thresh.result, base.result);
 
   // Patcher config: both tiers re-key.
   core::ApfConfig other = ecfg.patcher;
   other.max_depth += 1;
-  const serve::EngineFingerprint patcher = serve::compute_engine_fingerprint(
-      rig.model, other, 0.5f, seed);
+  const serve::EngineFingerprint patcher =
+      serve::compute_engine_fingerprint(rig.model, other, 0.5f);
   EXPECT_NE(patcher.patch, base.patch);
   EXPECT_NE(patcher.result, base.result);
 
   // Different weights (same architecture): same pixels must not cross-hit.
   Rig other_rig(/*model_seed=*/1234);
-  const serve::EngineFingerprint weights = serve::compute_engine_fingerprint(
-      other_rig.model, ecfg.patcher, 0.5f, seed);
+  const serve::EngineFingerprint weights =
+      serve::compute_engine_fingerprint(other_rig.model, ecfg.patcher, 0.5f);
   EXPECT_EQ(weights.patch, base.patch);
   EXPECT_NE(weights.result, base.result);
-
-  // Seed rotation moves everything (cache-wide invalidation lever).
-  const serve::EngineFingerprint reseeded = serve::compute_engine_fingerprint(
-      rig.model, ecfg.patcher, 0.5f, seed + 1);
-  EXPECT_NE(reseeded.patch, base.patch);
-  EXPECT_NE(reseeded.result, base.result);
 }
 
 TEST(Fingerprint, SeparatesBatchNormRunningStatistics) {
@@ -370,13 +350,9 @@ TEST(Fingerprint, SeparatesBatchNormRunningStatistics) {
   // so the two models must not share result-tier entries.
   Rig a, b;
   const serve::EngineConfig ecfg = a.engine_config();
-  const std::uint64_t seed = 11;
-  EXPECT_EQ(serve::compute_engine_fingerprint(a.model, ecfg.patcher, 0.5f,
-                                              seed)
-                .result,
-            serve::compute_engine_fingerprint(b.model, ecfg.patcher, 0.5f,
-                                              seed)
-                .result);
+  EXPECT_EQ(
+      serve::compute_engine_fingerprint(a.model, ecfg.patcher, 0.5f).result,
+      serve::compute_engine_fingerprint(b.model, ecfg.patcher, 0.5f).result);
   const core::TokenBatch batch = core::make_batch(
       {core::AdaptivePatcher(ecfg.patcher).process(a.images(1)[0])});
   {
@@ -390,9 +366,9 @@ TEST(Fingerprint, SeparatesBatchNormRunningStatistics) {
     for (std::int64_t j = 0; j < pa[i].numel(); ++j)
       ASSERT_EQ(pa[i].val()[j], pb[i].val()[j]) << "param " << i;
   const serve::EngineFingerprint fa =
-      serve::compute_engine_fingerprint(a.model, ecfg.patcher, 0.5f, seed);
+      serve::compute_engine_fingerprint(a.model, ecfg.patcher, 0.5f);
   const serve::EngineFingerprint fb =
-      serve::compute_engine_fingerprint(b.model, ecfg.patcher, 0.5f, seed);
+      serve::compute_engine_fingerprint(b.model, ecfg.patcher, 0.5f);
   EXPECT_EQ(fa.patch, fb.patch);
   EXPECT_NE(fa.result, fb.result);
 }
@@ -406,8 +382,9 @@ TEST(EngineCache, WarmRunIsBitwiseIdenticalToColdAndSkipsForwards) {
   serve::InferenceEngine cold_engine(rig.model, rig.engine_config());
   const serve::InferenceResult want = cold_engine.run(imgs);
 
-  serve::InferenceEngine engine(rig.model, rig.engine_config());
-  engine.set_cache(std::make_shared<serve::InferenceCache>(cache_config()));
+  serve::InferenceEngine engine(
+      rig.model, rig.engine_config(),
+      std::make_shared<serve::InferenceCache>(cache_config()));
   const serve::InferenceResult first = engine.run(imgs);
   expect_bitwise_equal(first, want, "cache-attached cold run vs no cache");
   EXPECT_EQ(first.stats.result_cache_hits, 0);
@@ -427,8 +404,9 @@ TEST(EngineCache, WarmRunIsBitwiseIdenticalToColdAndSkipsForwards) {
 TEST(EngineCache, MixedHitMissBatchMatchesColdBitwise) {
   Rig rig;
   std::vector<img::Image> imgs = rig.images(5);
-  serve::InferenceEngine engine(rig.model, rig.engine_config());
-  engine.set_cache(std::make_shared<serve::InferenceCache>(cache_config()));
+  serve::InferenceEngine engine(
+      rig.model, rig.engine_config(),
+      std::make_shared<serve::InferenceCache>(cache_config()));
   // Warm images 0..2, then run a batch interleaving warm and cold slots.
   engine.run({imgs[0], imgs[1], imgs[2]});
   const std::vector<img::Image> mixed = {imgs[3], imgs[0], imgs[4], imgs[2]};
@@ -444,8 +422,8 @@ TEST(EngineCache, MixedHitMissBatchMatchesColdBitwise) {
   serve::EngineConfig small = rig.engine_config();
   small.max_batch = 2;
   std::vector<img::Image> more = rig.images(9);
-  serve::InferenceEngine chunked(rig.model, small);
-  chunked.set_cache(std::make_shared<serve::InferenceCache>(cache_config()));
+  serve::InferenceEngine chunked(
+      rig.model, small, std::make_shared<serve::InferenceCache>(cache_config()));
   chunked.run({more[1], more[4], more[7]});
   // Misses 0,2 | 3,5 | 6,8 — every chunk straddles a hit.
   const serve::InferenceResult got_chunked = chunked.run(more);
@@ -457,23 +435,39 @@ TEST(EngineCache, MixedHitMissBatchMatchesColdBitwise) {
                        "multi-chunk mixed batch vs cold");
 }
 
-TEST(EngineCache, PatchTierAloneSkipsPatchingOnly) {
-  Rig rig;
+// The patch-hit / result-miss path, reached through the byte budget: each
+// shard holds every patch entry of the workload but not one result, which
+// the result tier therefore never admits (OversizedEntryIsNotInserted).
+// Warm runs skip patching only; the forward still runs.
+TEST(EngineCache, BudgetBelowOneResultSkipsPatchingOnly) {
+  Rig rig(/*model_seed=*/7, /*out_channels=*/8);  // results outweigh patches
   std::vector<img::Image> imgs = rig.images(4);
-  serve::CacheConfig cfg = cache_config();
-  cfg.result_tier = false;
-  serve::InferenceEngine engine(rig.model, rig.engine_config());
-  engine.set_cache(std::make_shared<serve::InferenceCache>(cfg));
+  serve::InferenceEngine cold_engine(rig.model, rig.engine_config());
+  const serve::InferenceResult want = cold_engine.run(imgs);
+  std::int64_t patch_bytes = 0;
+  for (const img::Image& im : imgs)
+    patch_bytes +=
+        serve::InferenceCache::patch_entry_bytes(cold_engine.patch(im));
+  serve::CachedResult one;
+  one.logits = Tensor({1, want.logits.size(1), want.logits.size(2),
+                       want.logits.size(3)});
+  one.mask = want.masks[0];
+  const std::int64_t shard_budget =
+      serve::InferenceCache::result_entry_bytes(one) - 1;
+  ASSERT_LE(patch_bytes, shard_budget);
 
+  serve::InferenceEngine engine(
+      rig.model, rig.engine_config(),
+      std::make_shared<serve::InferenceCache>(
+          cache_config(shard_budget * kShards)));
   const serve::InferenceResult first = engine.run(imgs);
   EXPECT_EQ(first.stats.patch_cache_misses, 4);
   const serve::InferenceResult warm = engine.run(imgs);
   EXPECT_EQ(warm.stats.patch_cache_hits, 4);
   EXPECT_EQ(warm.stats.result_cache_hits, 0);
-  EXPECT_GT(warm.stats.batches, 0) << "no result tier: forwards still run";
-
-  serve::InferenceEngine cold_engine(rig.model, rig.engine_config());
-  expect_bitwise_equal(warm, cold_engine.run(imgs), "patch-tier warm");
+  EXPECT_GT(warm.stats.batches, 0) << "no result fits: forwards still run";
+  EXPECT_EQ(engine.cache()->stats().result.entries, 0);
+  expect_bitwise_equal(warm, want, "patch-tier warm");
 }
 
 TEST(EngineCache, FingerprintIsolationAcrossSharedCache) {
@@ -481,16 +475,14 @@ TEST(EngineCache, FingerprintIsolationAcrossSharedCache) {
   std::vector<img::Image> imgs = rig.images(3);
   auto cache = std::make_shared<serve::InferenceCache>(cache_config());
 
-  serve::InferenceEngine a(rig.model, rig.engine_config());
-  a.set_cache(cache);
+  serve::InferenceEngine a(rig.model, rig.engine_config(), cache);
   a.run(imgs);
 
   // Same pixels, different threshold, SAME shared cache: must miss and
   // produce exactly what a cold engine at that threshold produces.
   serve::EngineConfig bcfg = rig.engine_config();
   bcfg.mask_threshold = 0.75f;
-  serve::InferenceEngine b(rig.model, bcfg);
-  b.set_cache(cache);
+  serve::InferenceEngine b(rig.model, bcfg, cache);
   const serve::InferenceResult bres = b.run(imgs);
   EXPECT_EQ(bres.stats.result_cache_hits, 0)
       << "different threshold must not cross-hit";
@@ -500,8 +492,7 @@ TEST(EngineCache, FingerprintIsolationAcrossSharedCache) {
 
   // Different weights, same config, same shared cache: also isolated.
   Rig other(/*model_seed=*/1234);
-  serve::InferenceEngine c(other.model, rig.engine_config());
-  c.set_cache(cache);
+  serve::InferenceEngine c(other.model, rig.engine_config(), cache);
   const serve::InferenceResult cres = c.run(imgs);
   EXPECT_EQ(cres.stats.result_cache_hits, 0)
       << "different weights must not cross-hit";
@@ -511,19 +502,52 @@ TEST(EngineCache, FingerprintIsolationAcrossSharedCache) {
 
 TEST(EngineCache, EvictionUnderTinyBudgetStaysCorrect) {
   Rig rig;
-  std::vector<img::Image> imgs = rig.images(4);
+  // More images than shards, so some shard holds two results.
+  std::vector<img::Image> imgs = rig.images(kShards + 1);
   serve::InferenceEngine cold_engine(rig.model, rig.engine_config());
   const serve::InferenceResult want = cold_engine.run(imgs);
 
-  // Budget ~ one result entry: constant churn, correctness unaffected.
-  serve::InferenceEngine engine(rig.model, rig.engine_config());
-  engine.set_cache(std::make_shared<serve::InferenceCache>(
-      cache_config(8 << 10, /*shards=*/1)));
+  // Budget ~ one result entry (8448 B at 32 px) per shard: constant churn,
+  // correctness unaffected.
+  serve::InferenceEngine engine(
+      rig.model, rig.engine_config(),
+      std::make_shared<serve::InferenceCache>(
+          cache_config((12 << 10) * kShards)));
   engine.run(imgs);
   expect_bitwise_equal(engine.run(imgs), want, "thrashing warm run");
   EXPECT_GT(engine.cache()->stats().total_evictions() +
                 engine.cache()->stats().result.entries,
             0);
+}
+
+// One cache-attached engine shared by threads calling run() at once, as
+// Server shares its engine between submit() and its workers: cold misses
+// and warm hits race on the shared tiers, and every result must carry the
+// serial bits (the TSan leg runs this).
+TEST(EngineCache, ConcurrentRunsOnOneEngineMatchSerialBitwise) {
+  Rig rig;
+  const std::vector<img::Image> imgs = rig.images(4);
+  rig.model.set_training(false);  // concurrent forwards only read the model
+  const serve::InferenceResult want =
+      serve::InferenceEngine(rig.model, rig.engine_config()).run(imgs);
+
+  const serve::InferenceEngine engine(
+      rig.model, rig.engine_config(),
+      std::make_shared<serve::InferenceCache>(cache_config()));
+  constexpr int kThreads = 4, kRuns = 3;
+  std::vector<serve::InferenceResult> got(kThreads * kRuns);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRuns; ++r) got[t * kRuns + r] = engine.run(imgs);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const serve::InferenceResult& r : got)
+    expect_bitwise_equal(r, want, "concurrent run vs serial");
+  const serve::CacheStats s = engine.cache()->stats();
+  EXPECT_EQ(s.result.hits + s.result.misses, kThreads * kRuns * 4);
+  EXPECT_GT(s.result.hits, 0);
 }
 
 // ------------------------------------------------- arena clone-out rule
@@ -534,8 +558,9 @@ TEST(EngineCache, CachedEntriesSurviveArenaScopeRecycling) {
   serve::InferenceEngine cold_engine(rig.model, rig.engine_config());
   const serve::InferenceResult want = cold_engine.run(imgs);
 
-  serve::InferenceEngine engine(rig.model, rig.engine_config());
-  engine.set_cache(std::make_shared<serve::InferenceCache>(cache_config()));
+  serve::InferenceEngine engine(
+      rig.model, rig.engine_config(),
+      std::make_shared<serve::InferenceCache>(cache_config()));
   {
     // Populate the cache while THIS thread has a live ArenaScope (grad
     // off so tensor storage actually routes through the arena): every
@@ -620,8 +645,9 @@ TEST(ServerCache, WarmWaveBitwiseIdenticalAndServedFromSubmit) {
 TEST(ServerCache, RunStatsEqualSummedServerRequestStats) {
   Rig rig;
   const std::vector<img::Image> imgs = rig.images(6);
-  serve::InferenceEngine engine(rig.model, rig.engine_config());
-  engine.set_cache(std::make_shared<serve::InferenceCache>(cache_config()));
+  serve::InferenceEngine engine(
+      rig.model, rig.engine_config(),
+      std::make_shared<serve::InferenceCache>(cache_config()));
 
   serve::ServerConfig scfg;
   scfg.engine = rig.engine_config();
@@ -704,7 +730,7 @@ TEST(ServerCache, ConcurrentHotKeyHammering) {
   scfg.engine = rig.engine_config();
   scfg.num_workers = 3;
   // Small budget: eviction churn races the hits on the same shard.
-  scfg.cache = cache_config(64 << 10, /*shards=*/2);
+  scfg.cache = cache_config((32 << 10) * kShards);
   serve::Server server(rig.model, scfg);
 
   constexpr int kThreads = 6, kPerThread = 12;
@@ -733,7 +759,7 @@ TEST(ServerCache, ConcurrentHotKeyHammering) {
 // Direct cache hammering: concurrent put/get on one key plus stats
 // readers, no server in the way (pure LruTier surface for TSan).
 TEST(InferenceCache, ConcurrentPutGetOneKey) {
-  serve::InferenceCache cache(cache_config(1 << 20, /*shards=*/1));
+  serve::InferenceCache cache(cache_config(1 << 20));
   constexpr int kThreads = 6, kOps = 200;
   std::vector<std::thread> threads;
   std::vector<int> bad(kThreads, 0);

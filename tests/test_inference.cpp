@@ -33,16 +33,21 @@ Tensor ref_attention(const Tensor& q, const Tensor& k, const Tensor& v,
 // backends (reference, avx2 — the default selection always is). Under the
 // explicitly requested, tolerance-grade fma backend only the panel contract
 // holds, so the suite degrades to a tight relative tolerance (gemm.h).
-void assert_value_matches(float got, float want, const char* where,
-                          std::int64_t i) {
-  if (active_gemm_backend().bitwise_exact()) {
-    ASSERT_EQ(got, want) << where << " at " << i << " (backend "
-                         << active_gemm_backend().name() << ")";
-  } else {
-    ASSERT_NEAR(got, want, 1e-4 * std::max(1.f, std::fabs(want)))
-        << where << " at " << i << " (backend "
-        << active_gemm_backend().name() << ")";
-  }
+// Callers ASSERT_TRUE the result, so a loop stops at its first mismatch.
+::testing::AssertionResult value_matches(float got, float want,
+                                         const char* where, std::int64_t i) {
+  const bool exact = active_gemm_backend().bitwise_exact();
+  // The tolerance test is ASSERT_NEAR's: |got - want| in double.
+  if (exact ? got == want
+            : std::fabs(static_cast<double>(got) - want) <=
+                  1e-4 * std::max(1.f, std::fabs(want)))
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << where << " at " << i << ": got "
+         << ::testing::PrintToString(got) << ", want "
+         << ::testing::PrintToString(want)
+         << (exact ? "" : " within 1e-4 relative") << " (backend "
+         << active_gemm_backend().name() << ")";
 }
 
 TEST(FusedAttention, UnmaskedBitwiseMatchesComposed) {
@@ -56,7 +61,7 @@ TEST(FusedAttention, UnmaskedBitwiseMatchesComposed) {
   Tensor got = nn::fused_masked_attention(q, k, v, scale, nullptr, b);
   ASSERT_EQ(got.shape(), want.shape());
   for (std::int64_t i = 0; i < got.numel(); ++i)
-    assert_value_matches(got[i], want[i], "fused attention", i);
+    ASSERT_TRUE(value_matches(got[i], want[i], "fused attention", i));
 }
 
 TEST(FusedAttention, MaskedBitwiseMatchesComposedOnValidRows) {
@@ -84,8 +89,8 @@ TEST(FusedAttention, MaskedBitwiseMatchesComposedOnValidRows) {
           const float gv = got.at({bi, i, d});
           if (i < nv) {
             // Valid query rows: bitwise identical to the taped values.
-            assert_value_matches(gv, want.at({bi, i, d}), "masked fused",
-                                 (bi * l + i) * dh + d);
+            ASSERT_TRUE(value_matches(gv, want.at({bi, i, d}), "masked fused",
+                                      (bi * l + i) * dh + d));
           } else {
             // Padded query rows are unspecified in the reference; the
             // fused kernel defines them as zero.
@@ -125,7 +130,7 @@ TEST(MultiHeadAttention, NoGradForwardBitwiseMatchesTaped_Unmasked) {
   }
   ASSERT_EQ(taped.shape(), fused.shape());
   for (std::int64_t i = 0; i < fused.numel(); ++i)
-    assert_value_matches(taped.val()[i], fused[i], "mha", i);
+    ASSERT_TRUE(value_matches(taped.val()[i], fused[i], "mha", i));
 }
 
 // End-to-end bitwise equality at the model output under a padded mask:
@@ -172,10 +177,8 @@ TEST(Unetr2d, NoGradForwardBitwiseMatchesTaped_MaskedBatch) {
       fused = model.forward(batch, fwd_rng).val();
     }
     ASSERT_EQ(taped.shape(), fused.shape());
-    for (std::int64_t i = 0; i < fused.numel(); ++i) {
-      assert_value_matches(taped.val()[i], fused[i], what, i);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+    for (std::int64_t i = 0; i < fused.numel(); ++i)
+      ASSERT_TRUE(value_matches(taped.val()[i], fused[i], what, i));
   };
   expect_taped_equals_fused("unetr, init batch norm");
 
@@ -256,7 +259,7 @@ TEST(InferenceEngine, ShapesDeterminismAndTapedEquivalence) {
   Rng fwd_rng(0);
   Var taped = model.forward(batch, fwd_rng);
   for (std::int64_t i = 0; i < res.logits.numel(); ++i)
-    assert_value_matches(res.logits[i], taped.val()[i], "engine", i);
+    ASSERT_TRUE(value_matches(res.logits[i], taped.val()[i], "engine", i));
 }
 
 // Mask-aware dense layers: grad-free with a padded [B, L] mask, Linear /
@@ -300,8 +303,8 @@ TEST(MaskAwareDense, LinearLayerNormMlpSkipPaddedRowsBitwise) {
           if (r < n_eff[i]) {
             // Bitwise under the exact backends; the per-item prefix gemms
             // legitimately round differently under fma (gemm.h).
-            assert_value_matches(mv, c.full.at({i, r, j}), c.name,
-                                 (i * l + r) * w + j);
+            ASSERT_TRUE(value_matches(mv, c.full.at({i, r, j}), c.name,
+                                      (i * l + r) * w + j));
           } else {
             // Skipped rows are exactly zero under every backend.
             ASSERT_EQ(mv, 0.f)

@@ -480,11 +480,10 @@ TEST(Ops, RowKernelsSpecialValues) {
 
 // -------------------------------------------------------------- reductions
 
-TEST(Ops, SumMeanMax) {
+TEST(Ops, SumMean) {
   Tensor x = Tensor::from({1, -2, 3, 0}, {4});
   EXPECT_FLOAT_EQ(ops::sum_all(x), 2.f);
   EXPECT_FLOAT_EQ(ops::mean_all(x), 0.5f);
-  EXPECT_FLOAT_EQ(ops::max_all(x), 3.f);
 }
 
 TEST(Ops, ArgmaxLastdim) {
@@ -560,17 +559,6 @@ TEST(Ops, Col2ImAdjointOfIm2Col) {
   for (std::int64_t i = 0; i < cols.numel(); ++i) lhs += cols[i] * y[i];
   for (std::int64_t i = 0; i < x.numel(); ++i) rhs += x[i] * back[i];
   EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::fabs(lhs)));
-}
-
-TEST(Ops, Upsample2xAndAdjoint) {
-  Tensor x = Tensor::arange(4).reshape({1, 2, 2});
-  Tensor y = ops::upsample2x_nearest(x);
-  ASSERT_EQ(y.shape(), (Shape{1, 4, 4}));
-  EXPECT_EQ(y.at({0, 0, 1}), 0.f);
-  EXPECT_EQ(y.at({0, 3, 3}), 3.f);
-  Tensor dy = Tensor::ones({1, 4, 4});
-  Tensor dx = ops::upsample2x_nearest_grad(dy);
-  for (std::int64_t i = 0; i < 4; ++i) EXPECT_EQ(dx[i], 4.f);
 }
 
 }  // namespace
