@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
       "first request: %lld valid tokens, batch of %lld, queue wait "
       "%.1fms, forward %.1fms\n"
       "compute backend: %s gemm, %.2f encoder GFLOP/s delivered (select "
-      "with APF_GEMM_BACKEND=reference|avx2|fma)\n",
+      "with APF_GEMM_BACKEND=reference|avx2)\n",
       static_cast<long long>(dz), static_cast<long long>(agg.images),
       static_cast<long long>(agg.batches), agg.images_per_sec(),
       static_cast<long long>(res.stats.tokens),

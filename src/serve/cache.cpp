@@ -9,7 +9,6 @@
 #include "core/check.h"
 #include "core/thread_annotations.h"
 #include "tensor/arena.h"
-#include "tensor/gemm_backend.h"
 
 namespace apf::serve {
 
@@ -243,20 +242,7 @@ core::Digest128 InferenceCache::patch_key(const EngineFingerprint& fp,
 
 core::Digest128 InferenceCache::result_key(const EngineFingerprint& fp,
                                            const core::Digest128& image_key) {
-  core::Hasher h(detail::kSeed);
-  h.update_digest(fp.result);
-  h.update_digest(image_key);
-  // Backend bitwise class: reference and avx2 certify bitwise_exact()
-  // and are bitwise-identical to each other, so they share entries under
-  // one label; the tolerance-grade fma backend keys by name so its
-  // numerically different logits never serve a bitwise-exact request.
-  const GemmBackend& backend = active_gemm_backend();
-  if (backend.bitwise_exact()) {
-    h.update_str("bitwise-exact");
-  } else {
-    h.update_str(backend.name());
-  }
-  return h.digest();
+  return core::combine(fp.result, image_key, detail::kSeed);
 }
 
 std::optional<core::PatchSequence> InferenceCache::get_patch(

@@ -9,8 +9,8 @@
 //
 //   PatchCache   combine(image_hash, patch_fingerprint) -> PatchSequence
 //                (warm requests skip stage-1 patching entirely)
-//   ResultCache  hash(result_fingerprint, image_hash, backend_class)
-//                -> CachedResult  (exact duplicates skip the forward)
+//   ResultCache  combine(result_fingerprint, image_hash) -> CachedResult
+//                (exact duplicates skip the forward)
 //
 // Key derivation (core/hash.h, platform-stable, under one fixed seed
 // private to cache.cpp):
@@ -19,11 +19,8 @@
 //   result_fingerprint  = H(patch_fp, model identity: expected size +
 //                           encoder spec + every parameter's and every
 //                           buffer's shape and value bits, mask_threshold)
-//   backend_class       = "bitwise-exact" when the active gemm backend
-//                         certifies bitwise_exact() (reference and avx2
-//                         are mutually bitwise-identical, so they SHARE
-//                         entries), else the backend's name (fma is
-//                         tolerance-grade and must not cross-hit).
+// No key names the gemm backend: every backend computes the same bits
+// (tensor/gemm.h), so entries are shared across a backend switch.
 //
 // Bitwise contract: a hit returns output bitwise identical to the cold
 // path. This is safe because the engine's forward computes each image
@@ -93,10 +90,9 @@ struct CachedResult {
 };
 
 /// Everything a cache key must pin about the serving configuration.
-/// `patch` covers the patcher config alone (the patch tier is backend-
-/// and model-independent); `result` extends it with model identity and
-/// the decode threshold. The gemm-backend class is mixed in per lookup,
-/// not here, because the active backend can change at runtime.
+/// `patch` covers the patcher config alone (the patch tier is
+/// model-independent); `result` extends it with model identity and the
+/// decode threshold.
 struct EngineFingerprint {
   core::Digest128 patch;
   core::Digest128 result;
@@ -135,8 +131,7 @@ class InferenceCache {
   /// Patch-tier key of an image under an engine's fingerprint.
   static core::Digest128 patch_key(const EngineFingerprint& fp,
                                    const core::Digest128& image_key);
-  /// Result-tier key of an image under an engine's fingerprint and the
-  /// active gemm backend's bitwise class.
+  /// Result-tier key of an image under an engine's fingerprint.
   static core::Digest128 result_key(const EngineFingerprint& fp,
                                     const core::Digest128& image_key);
 

@@ -235,7 +235,6 @@ double InferenceEngine::flops_for_tokens(std::int64_t valid_tokens) const {
 std::optional<InferenceResult> InferenceEngine::admit(
     const img::Image& image, PatchedImage& item) const {
   const auto t0 = Clock::now();
-  validate_image(image);
   if (cache_) {
     // Content-addressed result reuse. Safe bitwise because the forward
     // computes each image from its own valid tokens only (padded-length

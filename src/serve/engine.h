@@ -15,17 +15,19 @@
 //
 // Every entry point goes through two per-request stages built on them:
 //
-//   admit()    validate -> content key -> result-tier lookup (a hit is
-//              returned finished) -> patch through the patch tier
+//   admit()    content key -> result-tier lookup (a hit is returned
+//              finished) -> patch through the patch tier
 //   complete() prepare -> forward -> decode -> per-request stats and
 //              result-tier store, for a batch of admitted misses
 //
-// run() is the serial loop over them and serve::Server the async one
-// (submit() admits, workers complete, all on one shared engine), so the
-// server matches run() bitwise by construction: the grad-free forward
-// computes each image from its own valid tokens only (fused masked
-// attention + mask-aware dense layers + per-item scatter), so an image's
-// logits do not depend on which batch it rode in or how far it was padded.
+// The entry points validate each image once, up front (validate_image);
+// admit() and complete() trust their inputs. run() is the serial loop over
+// them and serve::Server the async one (submit() admits, workers complete,
+// all on one shared engine), so the server matches run() bitwise by
+// construction: the grad-free forward computes each image from its own
+// valid tokens only (fused masked attention + mask-aware dense layers +
+// per-item scatter), so an image's logits do not depend on which batch it
+// rode in or how far it was padded.
 
 #include <cstdint>
 #include <map>
@@ -167,7 +169,7 @@ struct PatchedImage {
   /// stores the result without hashing the pixels again.
   std::optional<core::Digest128> image_key;
   bool patch_cache_hit = false;  ///< patching hit the patch tier
-  double patch_seconds = 0.0;    ///< admit() time: validate + key + patch
+  double patch_seconds = 0.0;    ///< admit() time: key + patch
 };
 
 /// Staged grad-free inference over a token segmentation model.
@@ -222,12 +224,13 @@ class InferenceEngine {
 
   // ------------------------------------------------ per-request stages
 
-  /// Front half of one request: validates the image, computes its content
-  /// key and looks up the result tier (with a cache), then patches
-  /// through the patch tier. A result-tier hit returns the finished
-  /// result ([1, C, Z, Z] logits, one mask, hit stats; bitwise equal to a
-  /// cold one) and leaves `item` untouched; otherwise fills `item` and
-  /// returns nullopt. Throws detail::CheckError on bad geometry.
+  /// Front half of one request: computes the image's content key and
+  /// looks up the result tier (with a cache), then patches through the
+  /// patch tier. A result-tier hit returns the finished result ([1, C, Z,
+  /// Z] logits, one mask, hit stats; bitwise equal to a cold one) and
+  /// leaves `item` untouched; otherwise fills `item` and returns nullopt.
+  /// The caller has validated the image (validate_image), as complete()
+  /// trusts its items.
   std::optional<InferenceResult> admit(const img::Image& image,
                                        PatchedImage& item) const;
 

@@ -66,8 +66,14 @@ void Server::shutdown() {
 }
 
 std::future<InferenceResult> Server::submit(const img::Image& image) {
-  // Admit on the calling thread: validation fails fast at the API boundary,
-  // and patching in parallel across clients keeps the workers fed.
+  // Validation fails fast at the API boundary.
+  engine_.validate_image(image);
+  return enqueue(image);
+}
+
+std::future<InferenceResult> Server::enqueue(const img::Image& image) {
+  // Admit on the calling thread: patching in parallel across clients
+  // keeps the workers fed.
   Request r;
   if (std::optional<InferenceResult> hit = engine_.admit(image, r)) {
     // Exact duplicate: serve it right here — no queue, no worker, no
@@ -102,7 +108,7 @@ std::vector<std::future<InferenceResult>> Server::submit_many(
     engine_.validate_image(images[i], static_cast<std::int64_t>(i));
   std::vector<std::future<InferenceResult>> futures;
   futures.reserve(images.size());
-  for (const img::Image& im : images) futures.push_back(submit(im));
+  for (const img::Image& im : images) futures.push_back(enqueue(im));
   return futures;
 }
 
@@ -161,7 +167,7 @@ void Server::process_batch(std::vector<Request>&& batch) {
     }
     // Fold into the aggregate BEFORE fulfilling the promises, so a client
     // that has seen all its futures resolve also sees them in stats().
-    // (Cache counters come from the shared cache itself — see snapshot().)
+    // (Cache counters come from the shared cache itself — see stats().)
     {
       MutexLock lock(stats_mu_);
       for (const InferenceResult& r : results) aggregate_.add_request(r.stats);
@@ -185,7 +191,7 @@ void Server::process_batch(std::vector<Request>&& batch) {
   }
 }
 
-InferenceStats Server::snapshot() const {
+InferenceStats Server::stats() const {
   // Gather external counters BEFORE taking stats_mu_: the cache locks
   // its shard mutexes, and keeping those acquisitions outside the
   // stats_mu_ critical section keeps the lock-order graph edge-free.
@@ -212,10 +218,8 @@ InferenceStats Server::snapshot() const {
   return out;
 }
 
-InferenceStats Server::stats() const { return snapshot(); }
-
 InferenceStats Server::stats_since_last() {
-  InferenceStats cur = snapshot();
+  InferenceStats cur = stats();
   MutexLock lock(stats_mu_);
   InferenceStats out = cur;
   const InferenceStats& base = window_base_;

@@ -98,7 +98,7 @@ class Server {
   std::future<InferenceResult> submit(const img::Image& image);
 
   /// Validates ALL images first (CheckError names the offending index),
-  /// then submits each in order.
+  /// then admits and enqueues each in order, as submit() does.
   std::vector<std::future<InferenceResult>> submit_many(
       const std::vector<img::Image>& images);
 
@@ -137,11 +137,11 @@ class Server {
   const ServerConfig& config() const { return cfg_; }
 
  private:
+  /// submit() after validation: admits a validated image and enqueues it
+  /// (or resolves a result-tier hit at once).
+  std::future<InferenceResult> enqueue(const img::Image& image);
   void worker_main();
   void process_batch(std::vector<Request>&& batch);
-  /// Lifetime aggregate incl. scheduler deltas and cache totals (the
-  /// body of stats(); also the sample stats_since_last() windows over).
-  InferenceStats snapshot() const;
 
   models::TokenSegModel& model_;
   ServerConfig cfg_;

@@ -16,7 +16,7 @@ namespace {
 // for untransposed B, the source matrix in place (bs == ldb; same elements
 // in the same order, so results are identical and the copy is saved). The
 // j-loop vectorizes with the baseline ISA; this is the accumulation order
-// every bitwise-exact backend must replicate.
+// every backend must replicate.
 void micro_kernel(std::int64_t rows, std::int64_t cols, std::int64_t depth,
                   float alpha, const float* __restrict ap,
                   const float* __restrict bp, std::int64_t bs,
@@ -40,7 +40,6 @@ class ReferenceGemmBackend final : public GemmBackend {
  public:
   const char* name() const override { return "reference"; }
   bool is_available() const override { return true; }
-  bool bitwise_exact() const override { return true; }
 
   void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
              std::int64_t k, float alpha, const float* a, std::int64_t lda,

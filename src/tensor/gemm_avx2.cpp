@@ -122,7 +122,6 @@ class Avx2GemmBackend final : public GemmBackend {
     static const bool ok = __builtin_cpu_supports("avx2");
     return ok;
   }
-  bool bitwise_exact() const override { return true; }  // see file header
 
   void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
              std::int64_t k, float alpha, const float* a, std::int64_t lda,
@@ -176,7 +175,6 @@ class Avx2GemmBackend final : public GemmBackend {
  public:
   const char* name() const override { return "avx2"; }
   bool is_available() const override { return false; }
-  bool bitwise_exact() const override { return true; }
   void sgemm(bool, bool, std::int64_t, std::int64_t, std::int64_t, float,
              const float*, std::int64_t, const float*, std::int64_t, float,
              float*, std::int64_t) const override {

@@ -12,12 +12,9 @@ std::atomic<GemmBackend*> g_active{nullptr};
 }  // namespace
 
 const std::vector<GemmBackend*>& gemm_backends() {
-  // Registry, in default-preference order (tuned first). fma is listed
-  // between avx2 and reference for explicit selection, but the default
-  // pick in resolve_gemm_backend skips it via bitwise_exact().
+  // Registry, in default-preference order (tuned first).
   static const std::vector<GemmBackend*> all = {
       detail::avx2_gemm_backend(),
-      detail::fma_gemm_backend(),
       detail::reference_gemm_backend(),
   };
   return all;
@@ -47,9 +44,9 @@ GemmBackend& resolve_gemm_backend(const char* request) {
                  b == nullptr ? "is not registered"
                               : "is not available on this host");
   }
-  // Default: first available bitwise-exact backend in registry order.
+  // Default: first available backend in registry order.
   for (GemmBackend* b : gemm_backends())
-    if (b->is_available() && b->bitwise_exact()) return *b;
+    if (b->is_available()) return *b;
   return *detail::reference_gemm_backend();  // always available
 }
 

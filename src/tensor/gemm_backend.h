@@ -3,23 +3,20 @@
 //
 // apf::gemm() (tensor/gemm.h) is the stable entry point every layer calls;
 // the actual kernel is supplied by the active GemmBackend. Backends
-// self-describe (name, availability, bitwise guarantees) and the active one
-// is chosen by, in order:
+// self-describe (name, availability) and the active one is chosen by, in
+// order:
 //
 //   1. the most recent successful set_gemm_backend("name") call, else
 //   2. the APF_GEMM_BACKEND environment variable (unknown or unavailable
 //      names warn once on stderr and fall through), else
-//   3. the first available *bitwise-exact* backend in gemm_backends()
-//      order — avx2 when compiled in and the CPU supports it, otherwise
-//      reference.
+//   3. the first available backend in gemm_backends() order — avx2 when
+//      compiled in and the CPU supports it, otherwise reference.
 //
-// The tolerance-grade fma backend does not replicate the reference
-// accumulation order (gemm.h), so it never wins the default selection and
-// must be requested via the env var or set_gemm_backend().
-//
-// Adding a backend: implement GemmBackend honoring the gemm.h row-panel
-// contract, return a static instance from a factory, and insert it into the
-// registry list in gemm_backend.cpp (list order = default preference).
+// Adding a backend: implement GemmBackend honoring the whole gemm.h
+// contract (it must match the reference backend bit for bit), return a
+// static instance from a factory, and insert it into the registry list in
+// gemm_backend.cpp (list order = default preference). The conformance and
+// cross-backend suites in test_gemm enroll every available backend.
 
 #include <cstdint>
 #include <string>
@@ -34,22 +31,13 @@ class GemmBackend {
  public:
   virtual ~GemmBackend() = default;
 
-  /// Stable lowercase identifier ("reference", "avx2", "fma", ...).
+  /// Stable lowercase identifier ("reference", "avx2", ...).
   virtual const char* name() const = 0;
 
   /// Whether the backend can run on this host (compiled in and the
   /// instruction set present). Unavailable backends stay registered so
   /// they can be listed and reported, but are never selected.
   virtual bool is_available() const = 0;
-
-  /// True when the backend honors the full bitwise contract documented in
-  /// gemm.h (row stability + bitwise identity with the reference backend);
-  /// false when only the kGemmRowPanel panel-level split-m contract and
-  /// same-call determinism hold (fma). Defaults to false: exactness
-  /// is an explicit claim — a new backend that forgets to make it merely loses
-  /// default-selection eligibility instead of silently breaking the
-  /// serving paths' bitwise guarantees.
-  virtual bool bitwise_exact() const { return false; }
 
   /// Row-major sgemm with apf::gemm semantics:
   /// C = alpha * op(A) * op(B) + beta * C (beta == 0 never reads C).
@@ -98,7 +86,6 @@ namespace detail {
 // backends that were not compiled in report is_available() == false).
 GemmBackend* reference_gemm_backend();
 GemmBackend* avx2_gemm_backend();
-GemmBackend* fma_gemm_backend();
 }  // namespace detail
 
 }  // namespace apf

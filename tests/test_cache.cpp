@@ -1,10 +1,10 @@
 // Content-addressed inference cache (serve/cache.h + core/hash.h):
 // digest determinism and platform stability, sharded-LRU eviction order
-// and byte accounting, fingerprint isolation, the bitwise hit==cold
-// contract on both the engine and server paths, concurrent hammering of
-// one hot key (the TSan leg runs this file), and the arena clone-out
-// rule (the APF_ARENA_POISON leg turns a missing deep copy into a
-// deterministic CheckError here).
+// and byte accounting, fingerprint isolation, entries shared across gemm
+// backends, the bitwise hit==cold contract on both the engine and server
+// paths, concurrent hammering of one hot key (the TSan leg runs this
+// file), and the arena clone-out rule (the APF_ARENA_POISON leg turns a
+// missing deep copy into a deterministic CheckError here).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <future>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "serve/server.h"
 #include "tensor/arena.h"
 #include "tensor/autograd.h"
+#include "tensor/gemm_backend.h"
 
 namespace apf {
 namespace {
@@ -498,6 +500,36 @@ TEST(EngineCache, FingerprintIsolationAcrossSharedCache) {
       << "different weights must not cross-hit";
   serve::InferenceEngine c_cold(other.model, rig.engine_config());
   expect_bitwise_equal(cres, c_cold.run(imgs), "isolated weights run");
+}
+
+// Every gemm backend computes the same bits (tensor/gemm.h), so result
+// keys do not name the backend: entries filled under one backend serve
+// hits under every other, and a cold run matches under each of them.
+TEST(EngineCache, EntriesSharedAcrossBackends) {
+  struct RestoreBackend {
+    const std::string saved = active_gemm_backend().name();
+    ~RestoreBackend() { set_gemm_backend(saved); }
+  } restore;
+  Rig rig;
+  const std::vector<img::Image> imgs = rig.images(3);
+
+  ASSERT_TRUE(set_gemm_backend("reference"));
+  serve::InferenceEngine cold_engine(rig.model, rig.engine_config());
+  const serve::InferenceResult want = cold_engine.run(imgs);
+  serve::InferenceEngine engine(
+      rig.model, rig.engine_config(),
+      std::make_shared<serve::InferenceCache>(cache_config()));
+  expect_bitwise_equal(engine.run(imgs), want, "reference cache fill");
+
+  for (const std::string& name : available_gemm_backend_names()) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(set_gemm_backend(name));
+    expect_bitwise_equal(cold_engine.run(imgs), want, "cold vs reference");
+    const serve::InferenceResult warm = engine.run(imgs);
+    EXPECT_EQ(warm.stats.result_cache_hits, 3);
+    EXPECT_EQ(warm.stats.result_cache_misses, 0);
+    expect_bitwise_equal(warm, want, "warm vs reference");
+  }
 }
 
 TEST(EngineCache, EvictionUnderTinyBudgetStaysCorrect) {

@@ -3,12 +3,11 @@
 // alpha scaling, and shapes that are not multiples of the kernel's cache
 // blocks (m=65, n=257, k=300 vs 64/256/256 panels), all checked against a
 // naive triple-loop reference. Per backend it also pins the split-m
-// guarantees the serving paths depend on (gemm.h): panel-boundary splits
-// for every backend, arbitrary-row splits plus n/k prefix truncation for
-// the bitwise-exact ones. Cross-backend, bitwise-exact backends must match
-// the reference backend bit for bit; the tolerance-grade fma backend
-// must agree within fp32 rounding. Registry tests cover name lookup,
-// unknown-name fallback, and APF_GEMM_BACKEND selection.
+// guarantees the serving paths depend on (gemm.h): panel-boundary splits,
+// arbitrary-row splits and n/k prefix truncation. Cross-backend, every
+// backend must match the reference backend bit for bit. Registry tests
+// cover name lookup, unknown-name fallback, and APF_GEMM_BACKEND
+// selection.
 
 #include <gtest/gtest.h>
 
@@ -158,14 +157,10 @@ TEST_P(GemmBackendSuite, SplitMAtRowPanelsIsBitwiseIdentical) {
     ASSERT_EQ(whole[i], split[i]) << "at " << i;
 }
 
-TEST_P(GemmBackendSuite, RowStabilityForBitwiseExactBackends) {
-  // Bitwise-exact backends additionally guarantee row stability (gemm.h):
-  // arbitrary-row splits (the mask-aware dense layers) and n/k prefix
-  // truncation (the fused attention kernel) are bitwise-neutral.
-  GemmBackend* backend = find_gemm_backend(GetParam());
-  ASSERT_NE(backend, nullptr);
-  if (!backend->bitwise_exact())
-    GTEST_SKIP() << GetParam() << " only guarantees the panel contract";
+TEST_P(GemmBackendSuite, RowStability) {
+  // Row stability (gemm.h): arbitrary-row splits (the mask-aware dense
+  // layers) and n/k prefix truncation (the fused attention kernel) are
+  // bitwise-neutral.
   const std::int64_t m = 100, n = 80, k = 70;
   Rng rng(37);
   Tensor a = Tensor::randn({m, k}, rng);
@@ -202,11 +197,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------ cross-backend
 
-TEST(GemmCrossBackend, BitwiseExactBackendsMatchReferenceBitwise) {
+TEST(GemmCrossBackend, EveryBackendMatchesReferenceBitwise) {
   const std::int64_t m = 65, n = 257, k = 300;
   Rng rng(41);
   for (GemmBackend* backend : gemm_backends()) {
-    if (!backend->is_available() || !backend->bitwise_exact() ||
+    if (!backend->is_available() ||
         std::string(backend->name()) == "reference")
       continue;
     for (const bool ta : {false, true})
@@ -223,32 +218,6 @@ TEST(GemmCrossBackend, BitwiseExactBackendsMatchReferenceBitwise) {
                                     << " tb=" << tb << " at " << i;
       }
   }
-}
-
-TEST(GemmCrossBackend, FmaMatchesReferenceWithinTolerance) {
-  // fma is tolerance-grade by design: fused multiply-add rounds once per
-  // k step where reference rounds twice, so values agree within fp32
-  // rounding but are not bitwise identical in general.
-  GemmBackend* fma = find_gemm_backend("fma");
-  ASSERT_NE(fma, nullptr);  // registered even when not compiled in
-  EXPECT_FALSE(fma->bitwise_exact());
-  if (!fma->is_available())
-    GTEST_SKIP() << "no AVX2+FMA on this host — fma backend unavailable";
-  const std::int64_t m = 65, n = 257, k = 300;
-  Rng rng(47);
-  for (const bool ta : {false, true})
-    for (const bool tb : {false, true}) {
-      Tensor a = Tensor::randn(ta ? Shape{k, m} : Shape{m, k}, rng);
-      Tensor b = Tensor::randn(tb ? Shape{n, k} : Shape{k, n}, rng);
-      Tensor c_init = Tensor::randn({m, n}, rng);
-      Tensor ref = run_backend("reference", ta, tb, m, n, k, 0.5f, a, b,
-                               0.5f, c_init);
-      Tensor got =
-          run_backend("fma", ta, tb, m, n, k, 0.5f, a, b, 0.5f, c_init);
-      for (std::int64_t i = 0; i < ref.numel(); ++i)
-        ASSERT_NEAR(got[i], ref[i], 1e-4 * std::max(1.f, std::fabs(ref[i])))
-            << "ta=" << ta << " tb=" << tb << " at " << i;
-    }
 }
 
 // -------------------------------------------------- parallel dispatch
@@ -340,10 +309,9 @@ TEST(GemmRegistry, ReferenceIsAlwaysRegisteredAndAvailable) {
   GemmBackend* ref = find_gemm_backend("reference");
   ASSERT_NE(ref, nullptr);
   EXPECT_TRUE(ref->is_available());
-  EXPECT_TRUE(ref->bitwise_exact());
-  // The ISA-gated backends ship in the registry regardless of build flags.
+  // The ISA-gated backend ships in the registry regardless of build flags.
   EXPECT_NE(find_gemm_backend("avx2"), nullptr);
-  EXPECT_NE(find_gemm_backend("fma"), nullptr);
+  EXPECT_EQ(find_gemm_backend("fma"), nullptr);
   EXPECT_EQ(find_gemm_backend("no-such-backend"), nullptr);
 }
 
@@ -361,12 +329,11 @@ TEST(GemmRegistry, SetUnknownOrUnavailableBackendFailsAndKeepsActive) {
 TEST(GemmRegistry, ResolvePolicy) {
   // Explicit valid request wins.
   EXPECT_STREQ(resolve_gemm_backend("reference").name(), "reference");
-  // No request: first available bitwise-exact backend in registry order.
+  // No request: first available backend in registry order.
   GemmBackend& def = resolve_gemm_backend(nullptr);
   EXPECT_TRUE(def.is_available());
-  EXPECT_TRUE(def.bitwise_exact());
   for (GemmBackend* b : gemm_backends()) {
-    if (b->is_available() && b->bitwise_exact()) {
+    if (b->is_available()) {
       EXPECT_STREQ(def.name(), b->name());
       break;
     }

@@ -29,27 +29,6 @@ Tensor ref_attention(const Tensor& q, const Tensor& k, const Tensor& v,
   return ops::bmm(probs, v);
 }
 
-// Fused-vs-composed comparisons are bitwise under the bitwise-exact gemm
-// backends (reference, avx2 — the default selection always is). Under the
-// explicitly requested, tolerance-grade fma backend only the panel contract
-// holds, so the suite degrades to a tight relative tolerance (gemm.h).
-// Callers ASSERT_TRUE the result, so a loop stops at its first mismatch.
-::testing::AssertionResult value_matches(float got, float want,
-                                         const char* where, std::int64_t i) {
-  const bool exact = active_gemm_backend().bitwise_exact();
-  // The tolerance test is ASSERT_NEAR's: |got - want| in double.
-  if (exact ? got == want
-            : std::fabs(static_cast<double>(got) - want) <=
-                  1e-4 * std::max(1.f, std::fabs(want)))
-    return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << where << " at " << i << ": got "
-         << ::testing::PrintToString(got) << ", want "
-         << ::testing::PrintToString(want)
-         << (exact ? "" : " within 1e-4 relative") << " (backend "
-         << active_gemm_backend().name() << ")";
-}
-
 TEST(FusedAttention, UnmaskedBitwiseMatchesComposed) {
   Rng rng(7);
   const std::int64_t b = 2, h = 3, l = 70, dh = 8;  // ragged row panel
@@ -61,7 +40,7 @@ TEST(FusedAttention, UnmaskedBitwiseMatchesComposed) {
   Tensor got = nn::fused_masked_attention(q, k, v, scale, nullptr, b);
   ASSERT_EQ(got.shape(), want.shape());
   for (std::int64_t i = 0; i < got.numel(); ++i)
-    ASSERT_TRUE(value_matches(got[i], want[i], "fused attention", i));
+    ASSERT_EQ(got[i], want[i]) << "fused attention at " << i;
 }
 
 TEST(FusedAttention, MaskedBitwiseMatchesComposedOnValidRows) {
@@ -89,8 +68,8 @@ TEST(FusedAttention, MaskedBitwiseMatchesComposedOnValidRows) {
           const float gv = got.at({bi, i, d});
           if (i < nv) {
             // Valid query rows: bitwise identical to the taped values.
-            ASSERT_TRUE(value_matches(gv, want.at({bi, i, d}), "masked fused",
-                                      (bi * l + i) * dh + d));
+            ASSERT_EQ(gv, want.at({bi, i, d}))
+                << "masked fused at " << (bi * l + i) * dh + d;
           } else {
             // Padded query rows are unspecified in the reference; the
             // fused kernel defines them as zero.
@@ -130,7 +109,7 @@ TEST(MultiHeadAttention, NoGradForwardBitwiseMatchesTaped_Unmasked) {
   }
   ASSERT_EQ(taped.shape(), fused.shape());
   for (std::int64_t i = 0; i < fused.numel(); ++i)
-    ASSERT_TRUE(value_matches(taped.val()[i], fused[i], "mha", i));
+    ASSERT_EQ(taped.val()[i], fused[i]) << "mha at " << i;
 }
 
 // End-to-end bitwise equality at the model output under a padded mask:
@@ -178,7 +157,7 @@ TEST(Unetr2d, NoGradForwardBitwiseMatchesTaped_MaskedBatch) {
     }
     ASSERT_EQ(taped.shape(), fused.shape());
     for (std::int64_t i = 0; i < fused.numel(); ++i)
-      ASSERT_TRUE(value_matches(taped.val()[i], fused[i], what, i));
+      ASSERT_EQ(taped.val()[i], fused[i]) << what << " at " << i;
   };
   expect_taped_equals_fused("unetr, init batch norm");
 
@@ -259,7 +238,7 @@ TEST(InferenceEngine, ShapesDeterminismAndTapedEquivalence) {
   Rng fwd_rng(0);
   Var taped = model.forward(batch, fwd_rng);
   for (std::int64_t i = 0; i < res.logits.numel(); ++i)
-    ASSERT_TRUE(value_matches(res.logits[i], taped.val()[i], "engine", i));
+    ASSERT_EQ(res.logits[i], taped.val()[i]) << "engine at " << i;
 }
 
 // Mask-aware dense layers: grad-free with a padded [B, L] mask, Linear /
@@ -301,10 +280,9 @@ TEST(MaskAwareDense, LinearLayerNormMlpSkipPaddedRowsBitwise) {
         for (std::int64_t j = 0; j < w; ++j) {
           const float mv = c.masked.at({i, r, j});
           if (r < n_eff[i]) {
-            // Bitwise under the exact backends; the per-item prefix gemms
-            // legitimately round differently under fma (gemm.h).
-            ASSERT_TRUE(value_matches(mv, c.full.at({i, r, j}), c.name,
-                                      (i * l + r) * w + j));
+            // Bitwise: the per-item prefix gemms are row-stable (gemm.h).
+            ASSERT_EQ(mv, c.full.at({i, r, j}))
+                << c.name << " at " << (i * l + r) * w + j;
           } else {
             // Skipped rows are exactly zero under every backend.
             ASSERT_EQ(mv, 0.f)

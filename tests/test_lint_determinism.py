@@ -176,8 +176,7 @@ class IsaGateRule(unittest.TestCase):
         self.assertIn("isa-gate", flag_rules([e]))
 
     def test_allowlisted_kernel_passes(self):
-        e = entry("src/tensor/gemm_fma.cpp",
-                  ["-mavx2", "-mfma", "-ffp-contract=off"])
+        e = entry("src/tensor/gemm_avx2.cpp", ["-mavx2", "-ffp-contract=off"])
         self.assertEqual([], flag_rules([e]))
 
     def test_arguments_form_supported(self):
@@ -212,13 +211,12 @@ class IsaGateRule(unittest.TestCase):
 
     def test_committed_registry_covers_isa_kernels(self):
         # The real registry must yield every TU the build hands ISA flags
-        # to (gemm_avx2 / gemm_fma).
+        # to (gemm_avx2).
         root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
         derived = lint.registry_gated_tus(root)
         self.assertNotEqual(derived, lint.ISA_GATED_TUS,
                             "registry TU unreadable; derivation fell back")
-        for tu in ("src/tensor/gemm_avx2.cpp", "src/tensor/gemm_fma.cpp"):
-            self.assertIn(tu, derived)
+        self.assertIn("src/tensor/gemm_avx2.cpp", derived)
 
 
 class CommittedTree(unittest.TestCase):

@@ -308,7 +308,7 @@ class ShardedLruShapes(unittest.TestCase):
     def test_aggregate_mutex_over_shard_lock_cycles(self):
         # snapshot() holds the aggregate stats mutex while reading a
         # shard; the eviction path publishes shard->aggregate. That is
-        # the AB/BA deadlock the real snapshot() avoids by gathering
+        # the AB/BA deadlock the real Server::stats() avoids by gathering
         # shard stats BEFORE taking stats_mu_.
         text = """
 class CacheStatsBad {

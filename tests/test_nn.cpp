@@ -17,7 +17,6 @@
 #include "nn/conv.h"
 #include "nn/layers.h"
 #include "nn/optim.h"
-#include "tensor/gemm_backend.h"
 #include "tensor/ops.h"
 
 namespace apf::nn {
@@ -229,25 +228,21 @@ TEST(Conv2d, GradCheck) {
 // Scalar per-element Conv2d: each output starts at 0 and adds w * x over
 // (channel, ki, kj) in order, one separate multiply and add per step
 // (volatile keeps the pair from contracting into an FMA), with padding
-// read as 0; the bias is added last. That is the accumulation every
-// bitwise-exact gemm backend performs for any column split, so the banded
-// forward must reproduce it bit for bit. |w * x| summed into mag bounds
-// the rounding of the tolerance-grade backends.
+// read as 0; the bias is added last. That is the accumulation every gemm
+// backend performs for any column split, so the banded forward must
+// reproduce it bit for bit.
 Tensor conv2d_scalar(const Tensor& x, const Tensor& wt, const Tensor* bias,
-                     std::int64_t k, std::int64_t stride, std::int64_t pad,
-                     Tensor* mag) {
+                     std::int64_t k, std::int64_t stride, std::int64_t pad) {
   const std::int64_t b = x.size(0), c = x.size(1), h = x.size(2),
                      w = x.size(3), out_c = wt.size(0);
   const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
   const std::int64_t ow = (w + 2 * pad - k) / stride + 1;
   Tensor y({b, out_c, oh, ow});
-  *mag = Tensor({b, out_c, oh, ow});
   for (std::int64_t i = 0; i < b; ++i)
     for (std::int64_t o = 0; o < out_c; ++o)
       for (std::int64_t oi = 0; oi < oh; ++oi)
         for (std::int64_t oj = 0; oj < ow; ++oj) {
           float acc = 0.f;
-          double m = 0.0;
           for (std::int64_t ch = 0; ch < c; ++ch)
             for (std::int64_t ki = 0; ki < k; ++ki)
               for (std::int64_t kj = 0; kj < k; ++kj) {
@@ -257,11 +252,9 @@ Tensor conv2d_scalar(const Tensor& x, const Tensor& wt, const Tensor* bias,
                 const float xv = inside ? x.at({i, ch, ii, jj}) : 0.f;
                 volatile float prod = wt.at({o, (ch * k + ki) * k + kj}) * xv;
                 acc += prod;
-                m += std::fabs(static_cast<double>(prod));
               }
           if (bias != nullptr) acc += (*bias)[o];
           y.at({i, o, oi, oj}) = acc;
-          mag->at({i, o, oi, oj}) = static_cast<float>(m);
         }
   return y;
 }
@@ -288,7 +281,6 @@ TEST(Conv2d, ForwardMatchesScalarLoopAcrossBandsAndThreads) {
   struct RestoreThreads {
     ~RestoreThreads() { set_num_threads(0); }
   } restore;
-  const bool exact = active_gemm_backend().bitwise_exact();
   Rng rng(20);
   for (const Case& cs : cases) {
     Conv2d conv(cs.in_c, cs.out_c, cs.k, cs.stride, cs.pad, rng, cs.bias);
@@ -303,27 +295,20 @@ TEST(Conv2d, ForwardMatchesScalarLoopAcrossBandsAndThreads) {
     if (oh > band) {  // every multi-band shape ends on a partial band
       ASSERT_NE(oh % band, 0) << "in_c=" << cs.in_c << " h=" << cs.h;
     }
-    Tensor mag;
     const Tensor want = conv2d_scalar(
         x, conv.parameters()[0].val(),
         cs.bias ? &conv.parameters()[1].val() : nullptr, cs.k, cs.stride,
-        cs.pad, &mag);
+        cs.pad);
     for (const int threads : {1, 2, 7}) {
       set_num_threads(threads);
       NoGradGuard ng;
       const Tensor got = conv.forward(Var::constant(x)).val();
       ASSERT_EQ(got.shape(), want.shape());
-      for (std::int64_t i = 0; i < want.numel(); ++i) {
-        if (exact) {
-          ASSERT_EQ(got[i], want[i])
-              << "in_c=" << cs.in_c << " k=" << cs.k << " stride="
-              << cs.stride << " pad=" << cs.pad << " threads=" << threads
-              << " at " << i;
-        } else {
-          ASSERT_NEAR(got[i], want[i], 1e-4f * (1.f + mag[i]))
-              << "in_c=" << cs.in_c << " threads=" << threads << " at " << i;
-        }
-      }
+      for (std::int64_t i = 0; i < want.numel(); ++i)
+        ASSERT_EQ(got[i], want[i])
+            << "in_c=" << cs.in_c << " k=" << cs.k << " stride="
+            << cs.stride << " pad=" << cs.pad << " threads=" << threads
+            << " at " << i;
     }
   }
 }
@@ -380,7 +365,6 @@ TEST(ConvTranspose2d, ForwardMatchesScalarLoopAcrossBandsAndThreads) {
   struct RestoreThreads {
     ~RestoreThreads() { set_num_threads(0); }
   } restore;
-  const bool exact = active_gemm_backend().bitwise_exact();
   Rng rng(22);
   ConvTranspose2d up(in_c, out_c, rng);
   up.parameters()[1].val_mut().copy_from(Tensor::randn({out_c}, rng));
@@ -405,14 +389,8 @@ TEST(ConvTranspose2d, ForwardMatchesScalarLoopAcrossBandsAndThreads) {
     NoGradGuard ng;
     const Tensor got = up.forward(Var::constant(x)).val();
     ASSERT_EQ(got.shape(), want.shape());
-    for (std::int64_t j = 0; j < want.numel(); ++j) {
-      if (exact) {
-        ASSERT_EQ(got[j], want[j]) << "threads=" << threads << " at " << j;
-      } else {
-        ASSERT_NEAR(got[j], want[j], 1e-4f * (1.f + std::fabs(want[j])))
-            << "threads=" << threads << " at " << j;
-      }
-    }
+    for (std::int64_t j = 0; j < want.numel(); ++j)
+      ASSERT_EQ(got[j], want[j]) << "threads=" << threads << " at " << j;
   }
 }
 
